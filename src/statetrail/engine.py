@@ -182,7 +182,10 @@ class Engine:
         post = fire(state, model, transition_id)
         pre_hash = state_hash(state)
         post_hash = state_hash(post)
-        self.store.put(state_content(state))
+        # the previous step already stored the pre-state; rewriting its
+        # file would cost I/O and could tear registered content on a crash
+        if not self.store.has(pre_hash):
+            self.store.put(state_content(state))
         self.store.put(state_content(post))
         self.submit_call(call_register_transition(state.instance_hash, pre_hash, post_hash))
         record = self.registry.get_transitions(state.instance_hash)[-1]

@@ -10,6 +10,16 @@ correspond to a legal one-hop firing of the model.
 Verification is three-valued. An entry whose contents cannot be resolved
 is `unverified` (not contradicted, not proven); any failing check with
 resolvable content makes it `inconsistent`; otherwise it is `verified`.
+
+`Tracker.verify_protocol` does constant work per entry. Within one call
+the model is read and parsed once, keyed by its content hash, and each
+state is read once: an entry's pre-state is the previous entry's
+post-state, so only the model and that one state are remembered, and
+memory does not grow with the protocol. Both stores verify every read
+against its hash, so the hash identifies the bytes and a remembered
+parse is exact. Nothing is kept between calls: a call sees the store as
+it is then, so content removed or tampered with since the last call
+changes the statuses.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .engine import parse_creation_record, parse_state_content
+from .engine import InstanceState, parse_creation_record, parse_state_content
 from .errors import (
     CorruptContent,
     MissingContent,
@@ -69,6 +79,8 @@ class InstanceProtocol:
     instance_hash: str
     model_hash: str
     entries: list[ProtocolEntry] = field(default_factory=list)
+    # number of leading entries whose seq equals their index
+    _dense: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def next_seq(self) -> int:
@@ -79,7 +91,18 @@ class InstanceProtocol:
         return bool(self.entries) and self.entries[-1].kind == KIND_TERMINATION
 
     def entry_at(self, seq: int) -> ProtocolEntry | None:
-        for entry in self.entries:
+        """The first entry carrying `seq`, or None.
+
+        A tracker appends seqs 0, 1, 2, ... so the entry is found by index.
+        Imported protocols may carry gaps or repeats; past the dense prefix
+        the lookup falls back to a scan.
+        """
+        entries = self.entries
+        while self._dense < len(entries) and entries[self._dense].seq == self._dense:
+            self._dense += 1
+        if 0 <= seq < min(self._dense, len(entries)) and entries[seq].seq == seq:
+            return entries[seq]
+        for entry in entries:
             if entry.seq == seq:
                 return entry
         return None
@@ -194,9 +217,10 @@ class Tracker:
     def verify_protocol(self, instance_hash: str) -> list[str]:
         """Verify every entry of one protocol; returns the statuses."""
         protocol = self.protocols[instance_hash]
+        reads = _Reads(self.store)
         statuses = []
         for entry in protocol.entries:
-            entry.status = verify_entry(protocol, entry, self.store)
+            entry.status = verify_entry(protocol, entry, reads)
             statuses.append(entry.status)
         return statuses
 
@@ -251,6 +275,48 @@ def _resolve(store, key: str) -> tuple[bytes | None, str | None]:
         return None, STATUS_INCONSISTENT
 
 
+class _Reads:
+    """Store reads of one verification pass, each content hash fetched once.
+
+    Remembers the model and the most recent state, read failures included;
+    that covers every repeated read of a chained protocol.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self._model: tuple[str, StateMachineModel | None, str | None] | None = None
+        self._state: tuple[str, InstanceState | None, str | None] | None = None
+
+    def model(self, key: str) -> tuple[StateMachineModel | None, str | None]:
+        """The parsed model, or None with the failure status."""
+        if self._model is None or self._model[0] != key:
+            data, status = _resolve(self.store, key)
+            model = None
+            if status is None:
+                try:
+                    model = parse_model_bytes(data)
+                except TrailError:
+                    status = STATUS_INCONSISTENT
+            self._model = (key, model, status)
+        return self._model[1], self._model[2]
+
+    def state(self, key: str) -> tuple[InstanceState | None, str | None]:
+        """The parsed state and the read failure status.
+
+        Both are None when the content reads but is not a state document.
+        """
+        if self._state is None or self._state[0] != key:
+            data, status = _resolve(self.store, key)
+            state = None
+            if status is None:
+                try:
+                    state = parse_state_content(data)
+                except CorruptContent:
+                    pass
+            self._state = (key, state, status)
+        return self._state[1], self._state[2]
+
+
 def _worst(statuses: list[str]) -> str | None:
     if STATUS_INCONSISTENT in statuses:
         return STATUS_INCONSISTENT
@@ -260,35 +326,36 @@ def _worst(statuses: list[str]) -> str | None:
 
 
 def verify_entry(protocol: InstanceProtocol, entry: ProtocolEntry, store) -> str:
-    """Check one protocol entry against the model and the content store."""
-    model_bytes, model_status = _resolve(store, protocol.model_hash)
-    if model_status is not None:
+    """Check one protocol entry against the model and the content store.
+
+    `store` is a content store, or the reads of a `verify_protocol` pass.
+    """
+    reads = store if isinstance(store, _Reads) else _Reads(store)
+    model, model_status = reads.model(protocol.model_hash)
+    if model is None:
         return model_status
-    try:
-        model = parse_model_bytes(model_bytes)
-    except TrailError:
-        return STATUS_INCONSISTENT
 
     if entry.kind == KIND_CREATION:
-        return _verify_creation(protocol, entry, model, store)
+        return _verify_creation(protocol, entry, model, reads)
     if entry.kind == KIND_TRANSITION:
-        return _verify_transition(protocol, entry, model, store)
+        return _verify_transition(protocol, entry, model, reads)
     if entry.kind == KIND_TERMINATION:
         return _verify_termination(protocol, entry)
     return STATUS_INCONSISTENT
 
 
 def _verify_creation(protocol: InstanceProtocol, entry: ProtocolEntry,
-                     model: StateMachineModel, store) -> str:
-    record_bytes, record_status = _resolve(store, entry.instance_hash)
-    state_bytes, state_status = _resolve(store, entry.post_state or "")
+                     model: StateMachineModel, reads: _Reads) -> str:
+    record_bytes, record_status = _resolve(reads.store, entry.instance_hash)
+    state, state_status = reads.state(entry.post_state or "")
     failed = _worst([s for s in (record_status, state_status) if s is not None])
     if failed is not None:
         return failed
     try:
         record = parse_creation_record(record_bytes)
-        state = parse_state_content(state_bytes)
     except CorruptContent:
+        return STATUS_INCONSISTENT
+    if state is None:
         return STATUS_INCONSISTENT
     checks = (
         record["model_hash"] == protocol.model_hash
@@ -301,16 +368,13 @@ def _verify_creation(protocol: InstanceProtocol, entry: ProtocolEntry,
 
 
 def _verify_transition(protocol: InstanceProtocol, entry: ProtocolEntry,
-                       model: StateMachineModel, store) -> str:
-    pre_bytes, pre_status = _resolve(store, entry.pre_state or "")
-    post_bytes, post_status = _resolve(store, entry.post_state or "")
+                       model: StateMachineModel, reads: _Reads) -> str:
+    pre, pre_status = reads.state(entry.pre_state or "")
+    post, post_status = reads.state(entry.post_state or "")
     failed = _worst([s for s in (pre_status, post_status) if s is not None])
     if failed is not None:
         return failed
-    try:
-        pre = parse_state_content(pre_bytes)
-        post = parse_state_content(post_bytes)
-    except CorruptContent:
+    if pre is None or post is None:
         return STATUS_INCONSISTENT
 
     previous = protocol.entry_at(entry.seq - 1)

@@ -194,6 +194,27 @@ class TestFireAndRegister:
             engine.fire_and_register(state, model, "go")
         assert len(world.ledger.blocks) == blocks_before
 
+    def test_stored_pre_state_is_not_written_again(self, world, descriptor, monkeypatch):
+        model = cycle_model()
+        engine = registered(world, model)
+        state = engine.instantiate(model, descriptor, 1)
+        puts = []
+        put = world.store.put
+        monkeypatch.setattr(world.store, "put",
+                            lambda content: puts.append(content) or put(content))
+        for tid in ("ab", "bc", "ca"):
+            state, _ = engine.fire_and_register(state, model, tid)
+        assert len(puts) == 3
+        assert puts[-1] == state_content(state)
+
+    def test_missing_pre_state_is_stored(self, world, descriptor):
+        model = cycle_model()
+        engine = registered(world, model)
+        state = engine.instantiate(model, descriptor, 1)
+        world.store._entries.pop(state_hash(state))
+        engine.fire_and_register(state, model, "ab")
+        assert world.store.get(state_hash(state)) == state_content(state)
+
 
 class TestRandomWalk:
     def test_fixed_seed_reproduces_identical_traces(self, descriptor):

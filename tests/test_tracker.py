@@ -2,6 +2,7 @@
 
 import pytest
 
+import statetrail.tracker as tracker_module
 from statetrail.engine import InstanceState, state_content, state_hash
 from statetrail.errors import CorruptContent, MissingContent, OutOfOrderEvent
 from statetrail.hashing import digest
@@ -13,6 +14,7 @@ from statetrail.tracker import (
     STATUS_INCONSISTENT,
     STATUS_UNVERIFIED,
     STATUS_VERIFIED,
+    InstanceProtocol,
     Tracker,
     export_protocol,
     import_protocol,
@@ -197,6 +199,120 @@ class TestVerification:
         world.store._entries[state_hash(state)] = state_content(doctored)
         assert verify_entry(protocol, protocol.entries[0],
                             world.store) == STATUS_INCONSISTENT
+
+
+class CountingStore:
+    """Passes reads through to a store and counts them."""
+
+    def __init__(self, store):
+        self.store = store
+        self.gets = 0
+
+    def get(self, key):
+        self.gets += 1
+        return self.store.get(key)
+
+
+def linear_entry_at(protocol, seq):
+    """Reference lookup: the first entry carrying `seq`, by a full scan."""
+    for entry in protocol.entries:
+        if entry.seq == seq:
+            return entry
+    return None
+
+
+LONG_STEPS = ("ab", "bc", "ca") * 17
+
+
+class TestLinearVerification:
+    def test_model_parsed_once_per_call(self, monkeypatch):
+        _, _, _, state, tracker = tracked_world(steps=LONG_STEPS)
+        parses, verified = [], []
+        parse, verify = tracker_module.parse_model_bytes, tracker_module.verify_entry
+        monkeypatch.setattr(tracker_module, "parse_model_bytes",
+                            lambda data: parses.append(data) or parse(data))
+        monkeypatch.setattr(tracker_module, "verify_entry",
+                            lambda protocol, entry, store:
+                            verified.append(protocol) or verify(protocol, entry, store))
+        protocol = tracker.protocols[state.instance_hash]
+        assert tracker.verify_protocol(state.instance_hash) == (
+            [STATUS_VERIFIED] * len(protocol.entries))
+        assert len(parses) == 1
+        assert verified == [protocol] * len(protocol.entries)
+        tracker.verify_protocol(state.instance_hash)
+        assert len(parses) == 2
+
+    def test_each_content_hash_read_once(self):
+        world, _, _, state, _ = tracked_world(steps=LONG_STEPS)
+        store = CountingStore(world.store)
+        tracker = Tracker(world.ledger, world.registry, store)
+        tracker.catch_up()
+        statuses = tracker.verify_protocol(state.instance_hash)
+        assert len(statuses) == len(LONG_STEPS) + 2
+        assert set(statuses) == {STATUS_VERIFIED}
+        assert store.gets <= len(statuses) + 2
+
+    def test_statuses_on_one_faulty_protocol(self):
+        world, engine, model, state, _ = tracked_world(
+            steps=("ab", "bc", "ca", "ab", "bc"), terminate=False)
+        # r never reaches q in one hop
+        bogus = InstanceState(state.instance_hash, "q", dict(state.variables),
+                              state.step + 1)
+        world.store.put(state_content(bogus))
+        assert raw_submit(world.ledger, ALICE, call_register_transition(
+            state.instance_hash, state_hash(state), state_hash(bogus))).ok
+        state = bogus
+        for tid in ("bc", "ca"):
+            state, _ = engine.fire_and_register(state, model, tid)
+        engine.terminate(state.instance_hash)
+        tracker = Tracker(world.ledger, world.registry, world.store)
+        tracker.catch_up()
+        protocol = tracker.protocols[state.instance_hash]
+        world.store._entries.pop(protocol.entries[2].post_state)
+        ok, unv, bad = STATUS_VERIFIED, STATUS_UNVERIFIED, STATUS_INCONSISTENT
+        statuses = tracker.verify_protocol(state.instance_hash)
+        assert statuses == [ok, ok, unv, unv, ok, ok, bad, ok, ok, ok]
+        assert statuses == [verify_entry(protocol, e, world.store)
+                            for e in protocol.entries]
+
+    def test_model_removed_between_calls_is_seen(self):
+        world, _, model, state, tracker = tracked_world()
+        assert set(tracker.verify_protocol(state.instance_hash)) == {STATUS_VERIFIED}
+        world.store._entries.pop(model_hash(model))
+        assert set(tracker.verify_protocol(state.instance_hash)) == {STATUS_UNVERIFIED}
+
+    def test_invalid_model_document_is_inconsistent(self):
+        world, _, _, state, tracker = tracked_world()
+        protocol = tracker.protocols[state.instance_hash]
+        protocol.model_hash = world.store.put(b'{"name": "no states"}')
+        assert set(tracker.verify_protocol(state.instance_hash)) == {STATUS_INCONSISTENT}
+
+    @pytest.mark.parametrize("seqs", [
+        [0, 1, 2, 3, 4, 5, 6],
+        [0, 1, 3, 4, 5, 6],
+        [0, 1, 2, 4, 5, 6, 7],
+        [0, 1, 1, 2, 3, 4, 5],
+        [0, 2, 1, 3, 4, 5, 6],
+        [1, 1, 2, 3, 4, 5, 6],
+        [3, 0, 1, 2, 3, 4, 5],
+    ])
+    def test_imported_seqs_match_linear_lookup(self, monkeypatch, seqs):
+        world, _, _, state, tracker = tracked_world(steps=("ab", "bc", "ca", "ab", "bc"))
+        data = tracker.export(state.instance_hash)
+
+        def statuses():
+            protocol = import_protocol(data)
+            if len(seqs) < len(protocol.entries):
+                del protocol.entries[2]
+            for entry, seq in zip(protocol.entries, seqs):
+                entry.seq = seq
+            return [verify_entry(protocol, e, world.store) for e in protocol.entries]
+
+        indexed = statuses()
+        monkeypatch.setattr(InstanceProtocol, "entry_at", linear_entry_at)
+        assert indexed == statuses()
+        if seqs == list(range(len(seqs))):
+            assert set(indexed) == {STATUS_VERIFIED}
 
 
 class TestExport:
