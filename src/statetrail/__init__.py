@@ -42,8 +42,6 @@ from .registry import (
     InstanceRecord,
     ModelRecord,
     Registry,
-    StateRecord,
-    TransitionEvent,
     TransitionRecord,
 )
 from .store import ContentStore, DirectoryContentStore
@@ -74,10 +72,8 @@ __all__ = [
     "ProtocolEntry",
     "Registry",
     "StateMachineModel",
-    "StateRecord",
     "Tracker",
     "TransitionDef",
-    "TransitionEvent",
     "TransitionRecord",
     "TxReceipt",
     "ZERO_CURSOR",

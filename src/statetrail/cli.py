@@ -42,7 +42,6 @@ class CliConfig:
     ledger_path: Path
     store_path: Path
     account_file: Path
-    batch_size: int
     seed: int | None
     account: str | None
 
@@ -68,18 +67,15 @@ class TrailGroup(click.Group):
 @click.option("--account", default=None, help="Sender account id (0x-hex).")
 @click.option("--account-file", default=None, type=click.Path(dir_okay=False),
               help="File holding the sender account id.")
-@click.option("--batch-size", default=1, show_default=True,
-              help="Transactions per committed block.")
 @click.option("--seed", default=None, type=int, help="Seed for account derivation.")
 @click.pass_context
-def cli(ctx, workdir, account, account_file, batch_size, seed):
+def cli(ctx, workdir, account, account_file, seed):
     """Tracked execution of state-machine models on a simulated ledger."""
     base = Path(workdir)
     ctx.obj = CliConfig(
         ledger_path=base / LEDGER_FILE,
         store_path=base / STORE_DIR,
         account_file=Path(account_file) if account_file else base / "account.json",
-        batch_size=batch_size,
         seed=seed,
         account=account,
     )
@@ -88,7 +84,7 @@ def cli(ctx, workdir, account, account_file, batch_size, seed):
 def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
     cfg.ledger_path.parent.mkdir(parents=True, exist_ok=True)
     registry = Registry()
-    ledger = Ledger.open(cfg.ledger_path, registry, batch_size=cfg.batch_size)
+    ledger = Ledger.open(cfg.ledger_path, registry)
     return ledger, registry, DirectoryContentStore(cfg.store_path)
 
 
@@ -138,9 +134,7 @@ def account_new(cfg: CliConfig, save):
         new_id = derive_account(cfg.seed, len(ledger.known_accounts()))
     else:
         new_id = "0x" + secrets.token_hex(20)
-    receipt = ledger.create_account(new_id)
-    if receipt.status == "pending":
-        ledger.commit_block()
+    ledger.create_account(new_id)
     if save:
         cfg.account_file.parent.mkdir(parents=True, exist_ok=True)
         cfg.account_file.write_text(json.dumps({"account": new_id}, sort_keys=True) + "\n")
@@ -257,10 +251,8 @@ def instance_terminate(cfg: CliConfig, instance_hash):
 # ------------------------------------------------------------------- tracking
 
 @cli.command("track")
-@click.option("--from-genesis", is_flag=True, default=True,
-              help="Replay the event log from the zero cursor.")
 @click.pass_obj
-def track(cfg: CliConfig, from_genesis):
+def track(cfg: CliConfig):
     """Follow ledger events and print protocol entries as they apply."""
     ledger, registry, store = _services(cfg)
     tracker = Tracker(ledger, registry, store)

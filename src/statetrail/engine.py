@@ -57,12 +57,6 @@ class TraceStep:
 class ExecutionTrace:
     steps: tuple[TraceStep, ...]
 
-    def state_hashes(self) -> list[str]:
-        """Pre-state of the first step followed by every post-state."""
-        if not self.steps:
-            return []
-        return [self.steps[0].pre_hash] + [s.post_hash for s in self.steps]
-
 
 def state_content(state: InstanceState) -> bytes:
     return canonical_bytes({
@@ -86,7 +80,8 @@ def parse_state_content(data: bytes) -> InstanceState:
             variables=MappingProxyType({k: int(v) for k, v in raw["variables"].items()}),
             step=int(raw["step"]),
         )
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError,
+            ValueError) as exc:
         raise CorruptContent(f"not an instance state document: {exc}") from exc
 
 

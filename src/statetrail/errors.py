@@ -111,12 +111,7 @@ def exit_code(error: TrailError) -> int:
 
 def error_class(name: str) -> type[TrailError]:
     """Resolve a stable error name back to its exception class."""
-    def walk(cls: type[TrailError]):
-        yield cls
-        for sub in cls.__subclasses__():
-            yield from walk(sub)
-
-    for cls in walk(TrailError):
-        if cls.__name__ == name:
-            return cls
+    cls = globals().get(name)
+    if isinstance(cls, type) and issubclass(cls, TrailError):
+        return cls
     return RegistrationFailed

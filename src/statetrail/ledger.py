@@ -42,16 +42,8 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class ApplyContext:
-    """Ambient block data visible to contract calls."""
-
-    height: int
-    timestamp: int
-
-
 class Contract(Protocol):
-    def apply(self, sender: str, call: dict, ctx: ApplyContext) -> list[tuple[str, dict]]: ...
+    def apply(self, sender: str, call: dict, timestamp: int) -> list[tuple[str, dict]]: ...
 
 
 @dataclass(frozen=True)
@@ -254,8 +246,6 @@ class Ledger:
 
     def create_account(self, account: str) -> TxReceipt:
         """Register a fresh account through the faucet sender."""
-        if not is_account_id(account):
-            raise UnknownSender(f"malformed account id {account!r}")
         tx = LedgerTransaction(FAUCET_ACCOUNT, create_account_call(account), 0)
         with self._lock:
             return self._submit_locked(tx)
@@ -276,6 +266,8 @@ class Ledger:
         is_faucet_create = tx.sender == FAUCET_ACCOUNT and tx.call.get("op") == OP_CREATE_ACCOUNT
         if is_faucet_create:
             account = tx.call["args"]["account"]
+            if not is_account_id(account):
+                raise UnknownSender(f"malformed account id {account!r}")
             if account in self._accounts_submitted:
                 raise AccountExists(f"account {account} already exists")
             expected = self._nonces_submitted.get(FAUCET_ACCOUNT, 0) + 1
@@ -318,9 +310,8 @@ class Ledger:
         height = len(self._blocks)
         applied: list[AppliedTransaction] = []
         events: list[EventRecord] = []
-        ctx = ApplyContext(height=height, timestamp=timestamp)
         for tx_index, tx in enumerate(txs):
-            status, error, emitted = self._apply_tx(tx, ctx)
+            status, error, emitted = self._apply_tx(tx, timestamp)
             applied.append(AppliedTransaction(tx.sender, tx.call, tx.nonce, status, error))
             for event_index, (kind, payload) in enumerate(emitted):
                 events.append(EventRecord(kind, payload, height, tx_index, event_index, timestamp))
@@ -329,7 +320,7 @@ class Ledger:
         return self._seal(Block(height, prev, applied, events, timestamp))
 
     def _apply_tx(
-        self, tx: LedgerTransaction, ctx: ApplyContext
+        self, tx: LedgerTransaction, timestamp: int
     ) -> tuple[str, str | None, list[tuple[str, dict]]]:
         # account creation is a ledger-level op reserved to the faucet sender;
         # anything else is dispatched to the contract
@@ -342,7 +333,7 @@ class Ledger:
             self._accounts.add(account)
             return STATUS_OK, None, []
         try:
-            emitted = self._contract.apply(tx.sender, tx.call, ctx)
+            emitted = self._contract.apply(tx.sender, tx.call, timestamp)
         except RegistryError as exc:
             return STATUS_FAILED, exc.name, []
         return STATUS_OK, None, emitted
@@ -383,18 +374,6 @@ class Ledger:
         # resync submission-time views with the committed state
         self._accounts_submitted = set(self._accounts)
         self._nonces_submitted = dict(self._nonces)
-
-
-def load_block_dicts(path: str | Path) -> list[dict]:
-    """Parse a ledger file into raw block dicts without executing anything."""
-    lines = Path(path).read_bytes().splitlines()
-    out = []
-    for lineno, raw in enumerate(lines):
-        try:
-            out.append(json.loads(raw))
-        except json.JSONDecodeError as exc:
-            raise ChainCorrupt(f"unparseable block at height {lineno}: {exc}") from exc
-    return out
 
 
 def verify_chain_file(path: str | Path) -> VerificationReport:

@@ -93,9 +93,6 @@ class StateMachineModel:
                 return t
         return None
 
-    def transitions_from(self, state: str) -> list[TransitionDef]:
-        return [t for t in self.transitions if t.source == state]
-
 
 def _nfc(s: str) -> str:
     return unicodedata.normalize("NFC", s)

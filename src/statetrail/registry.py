@@ -1,4 +1,4 @@
-"""On-ledger registry for models, instances, states and transitions.
+"""On-ledger registry for models, instances and transitions.
 
 The registry is a deterministic state machine executed inside ledger block
 application. It stores records keyed by content hash, enforces ownership
@@ -28,8 +28,7 @@ from .errors import (
     UnknownModel,
     UnknownSubject,
 )
-from .hashing import canonical_bytes, content_hash
-from .ledger import ApplyContext
+from .hashing import canonical_bytes
 
 EVENT_INSTANCE_CREATED = "InstanceCreated"
 EVENT_TRANSITION = "TransitionEvent"
@@ -95,47 +94,11 @@ class InstanceRecord:
 
 
 @dataclass(frozen=True)
-class StateRecord:
-    state_hash: str
-    instance_hash: str
-    seq: int
-
-
-@dataclass(frozen=True)
 class TransitionRecord:
-    transition_id: str
     instance_hash: str
     pre_state: str
     post_state: str
     seq: int
-
-
-@dataclass(frozen=True)
-class TransitionEvent:
-    instance_hash: str
-    pre_state: str
-    post_state: str
-    seq: int
-    emitter: str
-
-    def payload(self) -> dict:
-        return {
-            "emitter": self.emitter,
-            "instance_hash": self.instance_hash,
-            "post_state": self.post_state,
-            "pre_state": self.pre_state,
-            "seq": self.seq,
-        }
-
-
-def transition_id_for(instance_hash: str, pre_state: str, post_state: str, seq: int) -> str:
-    """Content-addressed identifier of one registered transition."""
-    return content_hash({
-        "instance_hash": instance_hash,
-        "post_state": post_state,
-        "pre_state": pre_state,
-        "seq": seq,
-    })
 
 
 # --------------------------------------------------------------- call builders
@@ -184,13 +147,12 @@ class Registry:
     def __init__(self) -> None:
         self._models: dict[str, ModelRecord] = {}
         self._instances: dict[str, InstanceRecord] = {}
-        self._states: dict[str, list[StateRecord]] = {}
         self._transitions: dict[str, list[TransitionRecord]] = {}
         self._delegates: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------ ledger hook
 
-    def apply(self, sender: str, call: dict, ctx: ApplyContext) -> list[tuple[str, dict]]:
+    def apply(self, sender: str, call: dict, timestamp: int) -> list[tuple[str, dict]]:
         """Dispatch one registry call; returns the events it emitted."""
         op = call.get("op")
         args = call.get("args")
@@ -200,13 +162,13 @@ class Registry:
             if op == "register_model":
                 self.register_model(sender, args["model_hash"],
                                     validate_descriptor(args["descriptor"]),
-                                    timestamp=ctx.timestamp)
+                                    timestamp=timestamp)
                 return []
             if op == "register_instance":
                 record = self.register_instance(
                     sender, args["instance_hash"], args["model_hash"],
                     validate_descriptor(args["descriptor"]), args["initial_state_hash"],
-                    timestamp=ctx.timestamp)
+                    timestamp=timestamp)
                 return [(EVENT_INSTANCE_CREATED, {
                     "emitter": sender,
                     "initial_state": record.latest_state,
@@ -215,9 +177,15 @@ class Registry:
                     "seq": 0,
                 })]
             if op == "register_transition":
-                _, event = self.register_transition(
+                transition = self.register_transition(
                     sender, args["instance_hash"], args["pre_state"], args["post_state"])
-                return [(EVENT_TRANSITION, event.payload())]
+                return [(EVENT_TRANSITION, {
+                    "emitter": sender,
+                    "instance_hash": transition.instance_hash,
+                    "post_state": transition.post_state,
+                    "pre_state": transition.pre_state,
+                    "seq": transition.seq,
+                })]
             if op == "terminate_instance":
                 record = self.terminate_instance(sender, args["instance_hash"])
                 return [(EVENT_INSTANCE_TERMINATED, {
@@ -264,30 +232,21 @@ class Registry:
             transition_count=0,
         )
         self._instances[instance_hash] = record
-        self._states[instance_hash] = [StateRecord(initial_state_hash, instance_hash, 0)]
         self._transitions[instance_hash] = []
         return record
 
     def register_transition(self, caller: str, instance_hash: str, pre_state: str,
-                            post_state: str) -> tuple[TransitionRecord, TransitionEvent]:
+                            post_state: str) -> TransitionRecord:
         record = self._active_instance(caller, instance_hash)
         if pre_state != record.latest_state:
             raise StaleChain(
                 f"pre-state {pre_state} does not match latest {record.latest_state}")
         seq = record.transition_count + 1
-        transition = TransitionRecord(
-            transition_id=transition_id_for(instance_hash, pre_state, post_state, seq),
-            instance_hash=instance_hash,
-            pre_state=pre_state,
-            post_state=post_state,
-            seq=seq,
-        )
-        self._states[instance_hash].append(StateRecord(post_state, instance_hash, seq))
+        transition = TransitionRecord(instance_hash, pre_state, post_state, seq)
         self._transitions[instance_hash].append(transition)
         record.latest_state = post_state
         record.transition_count = seq
-        event = TransitionEvent(instance_hash, pre_state, post_state, seq, caller)
-        return transition, event
+        return transition
 
     def terminate_instance(self, caller: str, instance_hash: str) -> InstanceRecord:
         record = self._active_instance(caller, instance_hash)
@@ -316,11 +275,6 @@ class Registry:
             raise UnknownSubject(f"instance {instance_hash} not registered")
         return self._instances[instance_hash]
 
-    def get_states(self, instance_hash: str) -> list[StateRecord]:
-        if instance_hash not in self._instances:
-            raise UnknownSubject(f"instance {instance_hash} not registered")
-        return list(self._states[instance_hash])
-
     def get_transitions(self, instance_hash: str) -> list[TransitionRecord]:
         if instance_hash not in self._instances:
             raise UnknownSubject(f"instance {instance_hash} not registered")
@@ -332,10 +286,6 @@ class Registry:
         if subject_hash in self._instances:
             return self._instances[subject_hash].owner
         raise UnknownSubject(f"{subject_hash} is neither a model nor an instance")
-
-    def delegates_of(self, subject_hash: str) -> tuple[str, ...]:
-        self.get_owner(subject_hash)  # existence check
-        return tuple(sorted(self._delegates.get(subject_hash, set())))
 
     def instance_hashes(self) -> list[str]:
         return sorted(self._instances)
@@ -361,18 +311,9 @@ class Registry:
                 h: {"descriptor": r.descriptor.to_dict(), "owner": r.owner}
                 for h, r in self._models.items()
             },
-            "states": {
-                h: [{"seq": s.seq, "state_hash": s.state_hash} for s in records]
-                for h, records in self._states.items()
-            },
             "transitions": {
                 h: [
-                    {
-                        "post_state": t.post_state,
-                        "pre_state": t.pre_state,
-                        "seq": t.seq,
-                        "transition_id": t.transition_id,
-                    }
+                    {"post_state": t.post_state, "pre_state": t.pre_state, "seq": t.seq}
                     for t in records
                 ]
                 for h, records in self._transitions.items()

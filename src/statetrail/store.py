@@ -1,7 +1,7 @@
 """Hash-addressed content stores.
 
 The ledger records only hashes; parties resolve them to bytes through a
-content store. Inserts are verified against the key, and reads re-verify,
+content store. Keys are the digest of the content, and reads re-verify,
 so a missing entry (MissingContent) is always distinguishable from a
 tampered one (CorruptContent).
 """
@@ -22,12 +22,6 @@ class ContentStore:
 
     def put(self, content: bytes) -> str:
         key = digest(content)
-        self._entries[key] = content
-        return key
-
-    def put_named(self, key: str, content: bytes) -> str:
-        if digest(content) != key:
-            raise CorruptContent(f"content does not hash to {key}")
         self._entries[key] = content
         return key
 
@@ -57,12 +51,6 @@ class DirectoryContentStore:
 
     def put(self, content: bytes) -> str:
         key = digest(content)
-        self._path(key).write_bytes(content)
-        return key
-
-    def put_named(self, key: str, content: bytes) -> str:
-        if digest(content) != key:
-            raise CorruptContent(f"content does not hash to {key}")
         self._path(key).write_bytes(content)
         return key
 

@@ -52,6 +52,13 @@ STATUS_UNVERIFIED = "unverified"
 STATUS_VERIFIED = "verified"
 STATUS_INCONSISTENT = "inconsistent"
 
+# event kind -> entry kind and the payload keys of its pre- and post-state
+_ENTRY_FIELDS = {
+    EVENT_INSTANCE_CREATED: (KIND_CREATION, None, "initial_state"),
+    EVENT_TRANSITION: (KIND_TRANSITION, "pre_state", "post_state"),
+    EVENT_INSTANCE_TERMINATED: (KIND_TERMINATION, None, None),
+}
+
 EXPORT_FIELDS = ("kind", "instance_hash", "model_hash", "seq", "pre_state", "post_state",
                  "height", "tx_index", "emitter", "timestamp", "status")
 
@@ -154,65 +161,34 @@ class Tracker:
         known instance signals cursor misuse and raises OutOfOrderEvent.
         Events for unseen instances are preceded by a registry backfill.
         """
+        if event.kind not in _ENTRY_FIELDS:
+            return None
+        kind, pre_key, post_key = _ENTRY_FIELDS[event.kind]
         payload = event.payload
-        if event.kind == EVENT_INSTANCE_CREATED:
-            instance_hash = payload["instance_hash"]
+        instance_hash = payload["instance_hash"]
+        if kind == KIND_CREATION:
             if instance_hash in self.protocols:
                 raise OutOfOrderEvent(f"duplicate creation for {instance_hash}")
-            protocol = InstanceProtocol(instance_hash, payload["model_hash"])
-            self.protocols[instance_hash] = protocol
-            entry = ProtocolEntry(
-                kind=KIND_CREATION,
-                instance_hash=instance_hash,
-                model_hash=payload["model_hash"],
-                seq=0,
-                post_state=payload["initial_state"],
-                height=event.height,
-                tx_index=event.tx_index,
-                emitter=payload["emitter"],
-                timestamp=event.timestamp,
-            )
-            protocol.entries.append(entry)
-            return entry
-        if event.kind == EVENT_TRANSITION:
-            protocol = self._known_protocol(payload["instance_hash"], payload["seq"])
-            if payload["seq"] != protocol.next_seq:
-                raise OutOfOrderEvent(
-                    f"transition seq {payload['seq']} arrived, "
-                    f"expected {protocol.next_seq}")
-            entry = ProtocolEntry(
-                kind=KIND_TRANSITION,
-                instance_hash=protocol.instance_hash,
-                model_hash=protocol.model_hash,
-                seq=payload["seq"],
-                pre_state=payload["pre_state"],
-                post_state=payload["post_state"],
-                height=event.height,
-                tx_index=event.tx_index,
-                emitter=payload["emitter"],
-                timestamp=event.timestamp,
-            )
-            protocol.entries.append(entry)
-            return entry
-        if event.kind == EVENT_INSTANCE_TERMINATED:
-            protocol = self._known_protocol(payload["instance_hash"], payload["seq"])
-            if payload["seq"] != protocol.next_seq:
-                raise OutOfOrderEvent(
-                    f"termination seq {payload['seq']} arrived, "
-                    f"expected {protocol.next_seq}")
-            entry = ProtocolEntry(
-                kind=KIND_TERMINATION,
-                instance_hash=protocol.instance_hash,
-                model_hash=protocol.model_hash,
-                seq=payload["seq"],
-                height=event.height,
-                tx_index=event.tx_index,
-                emitter=payload["emitter"],
-                timestamp=event.timestamp,
-            )
-            protocol.entries.append(entry)
-            return entry
-        return None
+            self.protocols[instance_hash] = InstanceProtocol(instance_hash,
+                                                             payload["model_hash"])
+        protocol = self._known_protocol(instance_hash, payload["seq"])
+        if payload["seq"] != protocol.next_seq:
+            raise OutOfOrderEvent(
+                f"{kind} seq {payload['seq']} arrived, expected {protocol.next_seq}")
+        entry = ProtocolEntry(
+            kind=kind,
+            instance_hash=instance_hash,
+            model_hash=protocol.model_hash,
+            seq=payload["seq"],
+            pre_state=payload[pre_key] if pre_key else None,
+            post_state=payload[post_key] if post_key else None,
+            height=event.height,
+            tx_index=event.tx_index,
+            emitter=payload["emitter"],
+            timestamp=event.timestamp,
+        )
+        protocol.entries.append(entry)
+        return entry
 
     def verify_protocol(self, instance_hash: str) -> list[str]:
         """Verify every entry of one protocol; returns the statuses."""
@@ -239,7 +215,6 @@ class Tracker:
         registry retains (creation timestamp, owner) is filled in.
         """
         record = self.registry.get_instance(instance_hash)
-        states = self.registry.get_states(instance_hash)
         transitions = self.registry.get_transitions(instance_hash)
         protocol = InstanceProtocol(instance_hash, record.model_hash)
         protocol.entries.append(ProtocolEntry(
@@ -247,7 +222,7 @@ class Tracker:
             instance_hash=instance_hash,
             model_hash=record.model_hash,
             seq=0,
-            post_state=states[0].state_hash,
+            post_state=transitions[0].pre_state if transitions else record.latest_state,
             emitter=record.owner,
             timestamp=record.descriptor.created_at,
         ))
@@ -407,8 +382,3 @@ def _verify_termination(protocol: InstanceProtocol, entry: ProtocolEntry) -> str
     previous = protocol.entry_at(entry.seq - 1)
     is_last = protocol.entries and protocol.entries[-1] is entry
     return STATUS_VERIFIED if (previous is not None and is_last) else STATUS_INCONSISTENT
-
-
-def converged(exports: list[bytes]) -> bool:
-    """True when every party exported byte-identical protocol data."""
-    return len(set(exports)) <= 1

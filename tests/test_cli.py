@@ -123,7 +123,7 @@ class TestTrackingCommands:
         mh = register_cycle(workdir)
         ih = create_instance(workdir, mh)
         invoke(workdir, "instance", "run", ih, "--steps", "4", "--seed", "2")
-        result = invoke(workdir, "track", "--from-genesis")
+        result = invoke(workdir, "track")
         lines = [json.loads(l) for l in result.output.strip().splitlines()]
         assert [e["kind"] for e in lines] == ["creation"] + ["transition"] * 4 + [
             "termination"]
@@ -152,6 +152,30 @@ class TestTrackingCommands:
         victim.write_bytes(bytes(data))
         result = invoke(workdir, "protocol", "verify", ih)
         assert result.exit_code != 0
+
+    def test_non_object_state_variables_fail_verification(self, workdir, funded):
+        from statetrail.engine import state_hash
+        from statetrail.hashing import canonical_bytes
+        from statetrail.ledger import Ledger
+        from statetrail.registry import Registry, call_register_transition
+        from statetrail.store import DirectoryContentStore
+
+        from conftest import raw_submit
+
+        mh = register_cycle(workdir)
+        ih = create_instance(workdir, mh)
+        registry = Registry()
+        ledger = Ledger.open(workdir / "ledger.jsonl", registry)
+        store = DirectoryContentStore(workdir / "store")
+        bad = store.put(canonical_bytes({
+            "current_state": "q", "instance_hash": ih, "step": 1, "variables": []}))
+        initial = registry.get_instance(ih).latest_state
+        assert raw_submit(ledger, funded, call_register_transition(ih, initial, bad)).ok
+        result = invoke(workdir, "protocol", "verify", ih)
+        assert result.exit_code == EXIT_CODES["VerificationFailed"]
+        lines = [json.loads(line) for line in result.output.strip().splitlines()]
+        assert [line.get("status") for line in lines[:2]] == ["verified", "inconsistent"]
+        assert lines[-1]["error"] == "VerificationFailed"
 
     def test_export_for_unknown_instance(self, workdir, funded):
         result = invoke(workdir, "protocol", "export", "0x" + "e" * 64)

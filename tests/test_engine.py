@@ -260,9 +260,9 @@ class TestRandomWalk:
         trace = engine.random_walk(model, state, 20, seed=5)
         for a, b in zip(trace.steps, trace.steps[1:]):
             assert a.post_hash == b.pre_hash
-        states = world.registry.get_states(state.instance_hash)
-        assert [s.state_hash for s in states] == [initial_hash] + [
-            step.post_hash for step in trace.steps]
+        records = world.registry.get_transitions(state.instance_hash)
+        assert records[0].pre_state == initial_hash
+        assert [r.post_state for r in records] == [step.post_hash for step in trace.steps]
 
     def test_every_fire_has_exactly_one_chain_record(self, world, descriptor):
         model = cycle_model()

@@ -14,12 +14,12 @@ from statetrail.errors import (
     UnknownCall,
     UnknownSender,
 )
-from statetrail.hashing import ZERO_HASH, canonical_bytes
+from statetrail.hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes
 from statetrail.ledger import (
     Ledger,
     LedgerTransaction,
     ZERO_CURSOR,
-    load_block_dicts,
+    create_account_call,
     verify_chain_file,
 )
 
@@ -85,6 +85,16 @@ class TestSubmission:
             "op": "create_account", "args": {"account": "0x" + "7" * 40}})
         assert receipt.status == "failed" and receipt.error == "UnknownCall"
         assert "0x" + "7" * 40 not in world.ledger.known_accounts()
+
+    def test_malformed_account_id_rejected_at_submit(self):
+        # a faucet creation for a malformed id must not make the id a sender
+        ledger = echo_ledger()
+        height = ledger.height
+        with pytest.raises(UnknownSender):
+            ledger.submit(LedgerTransaction(FAUCET_ACCOUNT, create_account_call("bogus"), 0))
+        with pytest.raises(UnknownSender):
+            ledger.submit(tx("bogus", 1))
+        assert ledger.height == height and "bogus" not in ledger.known_accounts()
 
     def test_nonces_are_per_sender(self):
         ledger = echo_ledger()
@@ -246,8 +256,8 @@ class TestPersistence:
         ledger.submit(tx(ALICE, 1))
         replayed = Ledger.open(path, EchoContract())
         replayed.submit(tx(ALICE, 2))
-        assert verify_chain_file(path).ok
-        assert len(load_block_dicts(path)) == len(replayed.blocks)
+        report = verify_chain_file(path)
+        assert report.ok and report.blocks_checked == len(replayed.blocks)
 
     def test_file_byte_flip_detected(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

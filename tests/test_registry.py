@@ -22,7 +22,6 @@ from statetrail.registry import (
     InstanceStatus,
     Registry,
     call_register_transition,
-    transition_id_for,
 )
 
 from conftest import ALICE, BOB, CARA, cycle_model, engine_for, make_world, raw_submit
@@ -73,8 +72,7 @@ class TestRegisterInstance:
         assert record.status is InstanceStatus.ACTIVE
         assert record.latest_state == h("s0")
         assert record.transition_count == 0
-        states = registry.get_states(H_INSTANCE)
-        assert [s.seq for s in states] == [0]
+        assert registry.get_transitions(H_INSTANCE) == []
 
     def test_non_owner_rejected(self):
         registry = fresh_registry_with_model()
@@ -98,10 +96,13 @@ class TestRegisterInstance:
 class TestRegisterTransition:
     def test_first_transition(self):
         registry = with_instance()
-        record, event = registry.register_transition(ALICE, H_INSTANCE, h("s0"), h("s1"))
-        assert record.seq == 1
-        assert record.transition_id == transition_id_for(H_INSTANCE, h("s0"), h("s1"), 1)
-        assert event.payload()["seq"] == 1
+        events = registry.apply(ALICE, call_register_transition(H_INSTANCE, h("s0"), h("s1")), 0)
+        assert events == [("TransitionEvent", {
+            "emitter": ALICE, "instance_hash": H_INSTANCE,
+            "post_state": h("s1"), "pre_state": h("s0"), "seq": 1,
+        })]
+        [record] = registry.get_transitions(H_INSTANCE)
+        assert (record.pre_state, record.post_state, record.seq) == (h("s0"), h("s1"), 1)
         assert registry.get_instance(H_INSTANCE).latest_state == h("s1")
 
     def test_stale_pre_state(self):
@@ -171,8 +172,9 @@ class TestOwnershipAndDelegation:
     def test_instance_delegate_registers_transition(self):
         registry = with_instance()
         registry.delegate_access(ALICE, H_INSTANCE, BOB)
-        record, event = registry.register_transition(BOB, H_INSTANCE, h("s0"), h("s1"))
-        assert record.seq == 1 and event.emitter == BOB
+        [(_, payload)] = registry.apply(
+            BOB, call_register_transition(H_INSTANCE, h("s0"), h("s1")), 0)
+        assert payload["seq"] == 1 and payload["emitter"] == BOB
 
     def test_delegation_does_not_transfer_ownership(self):
         registry = with_instance()
@@ -185,9 +187,11 @@ class TestReads:
         registry = with_instance()
         for i in range(5):
             registry.register_transition(ALICE, H_INSTANCE, h(f"s{i}"), h(f"s{i + 1}"))
-        states = registry.get_states(H_INSTANCE)
-        assert [s.seq for s in states] == [0, 1, 2, 3, 4, 5]
-        assert states[-1].state_hash == h("s5")
+        transitions = registry.get_transitions(H_INSTANCE)
+        assert [t.seq for t in transitions] == [1, 2, 3, 4, 5]
+        assert transitions[0].pre_state == h("s0")
+        assert transitions[-1].post_state == h("s5")
+        assert registry.get_instance(H_INSTANCE).latest_state == h("s5")
 
     def test_transitions_on_fresh_instance_empty(self):
         registry = with_instance()
@@ -195,8 +199,7 @@ class TestReads:
 
     def test_unknown_subject_reads(self):
         registry = Registry()
-        for read in (registry.get_instance, registry.get_states,
-                     registry.get_transitions, registry.get_model):
+        for read in (registry.get_instance, registry.get_transitions, registry.get_model):
             with pytest.raises(UnknownSubject):
                 read(h("ghost"))
 
@@ -265,13 +268,12 @@ class TestInvariants:
             registry.register_transition(ALICE, H_INSTANCE, latest, nxt)
             latest = nxt
         record = registry.get_instance(H_INSTANCE)
-        states = registry.get_states(H_INSTANCE)
         transitions = registry.get_transitions(H_INSTANCE)
-        assert len(states) == record.transition_count + 1
         assert [t.seq for t in transitions] == list(range(1, record.transition_count + 1))
-        for t in transitions:
-            assert t.pre_state == states[t.seq - 1].state_hash
-            assert t.post_state == states[t.seq].state_hash
+        assert transitions[0].pre_state == h("s0")
+        for prev, t in zip(transitions, transitions[1:]):
+            assert t.pre_state == prev.post_state
+        assert transitions[-1].post_state == record.latest_state == latest
 
     def test_event_emitted_only_on_success(self, world):
         # one success, then a stale duplicate of the same call

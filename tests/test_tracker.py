@@ -5,7 +5,7 @@ import pytest
 import statetrail.tracker as tracker_module
 from statetrail.engine import InstanceState, state_content, state_hash
 from statetrail.errors import CorruptContent, MissingContent, OutOfOrderEvent
-from statetrail.hashing import digest
+from statetrail.hashing import canonical_bytes, digest
 from statetrail.ledger import EventRecord, ZERO_CURSOR
 from statetrail.model import canonical_serialize, model_hash
 from statetrail.registry import Descriptor, call_register_model, call_register_transition
@@ -62,10 +62,12 @@ class TestContentStores:
         with pytest.raises(MissingContent):
             store.get(digest(b"absent"))
 
-    def test_mismatched_insert_rejected(self, tmp_path):
-        for store in (ContentStore(), DirectoryContentStore(tmp_path / "s")):
-            with pytest.raises(CorruptContent):
-                store.put_named(digest(b"one thing"), b"another thing")
+    def test_memory_tamper_detected_on_read(self):
+        store = ContentStore()
+        key = store.put(b"one thing")
+        store._entries[key] = b"another thing"
+        with pytest.raises(CorruptContent):
+            store.get(key)
 
     def test_disk_tamper_detected_on_read(self, tmp_path):
         store = DirectoryContentStore(tmp_path / "store")
@@ -127,6 +129,20 @@ class TestApplyEvents:
         # backfilled entries carry no block position
         assert protocol.entries[0].height is None
         assert protocol.entries[-1].height is not None
+
+    def test_backfill_for_instance_terminated_without_transitions(self):
+        # the initial state then comes from the instance's latest state
+        world, _, _, state, _ = tracked_world(steps=())
+        late = Tracker(world.ledger, world.registry, world.store)
+        created, terminated = world.ledger.events_since(ZERO_CURSOR)
+        late.cursor = created.position
+        late.catch_up()
+        protocol = late.protocols[state.instance_hash]
+        assert [(e.kind, e.seq) for e in protocol.entries] == [
+            ("creation", 0), ("termination", 1)]
+        assert protocol.entries[0].post_state == state_hash(state)
+        assert protocol.entries[0].emitter == ALICE
+        assert late.verify_protocol(state.instance_hash) == [STATUS_VERIFIED] * 2
 
 
 class TestVerification:
@@ -190,6 +206,20 @@ class TestVerification:
         statuses = tracker.verify_protocol(state.instance_hash)
         assert statuses == [STATUS_VERIFIED, STATUS_INCONSISTENT,
                             STATUS_INCONSISTENT]
+
+    def test_non_object_variables_are_inconsistent(self):
+        # a registered post-state whose variables are a list must not
+        # crash verification
+        world, _, _, state, _ = tracked_world(steps=(), terminate=False)
+        bad = world.store.put(canonical_bytes({
+            "current_state": "q", "instance_hash": state.instance_hash,
+            "step": 1, "variables": []}))
+        assert raw_submit(world.ledger, ALICE, call_register_transition(
+            state.instance_hash, state_hash(state), bad)).ok
+        tracker = Tracker(world.ledger, world.registry, world.store)
+        tracker.catch_up()
+        assert tracker.verify_protocol(state.instance_hash) == [
+            STATUS_VERIFIED, STATUS_INCONSISTENT]
 
     def test_wrong_creation_variables_inconsistent(self):
         world, engine, model, state, tracker = tracked_world(steps=(),
