@@ -21,9 +21,10 @@ from pathlib import Path
 import click
 
 from .demo import EXPORTS_DIR, LEDGER_FILE, STORE_DIR, derive_account, multiparty
-from .engine import Engine, state_hash
+from .engine import Engine, InstanceState, state_hash
 from .errors import (
     ChainCorrupt,
+    CorruptContent,
     TrailError,
     UnknownSender,
     UnknownSubject,
@@ -31,7 +32,7 @@ from .errors import (
     exit_code,
 )
 from .ledger import Ledger, verify_chain_file
-from .model import canonical_serialize, load_model_file, model_hash, parse_model_bytes
+from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
 from .store import DirectoryContentStore
 from .tracker import STATUS_VERIFIED, Tracker
@@ -102,6 +103,18 @@ def _engine(cfg: CliConfig) -> tuple[Engine, Ledger, Registry, DirectoryContentS
     return engine, ledger, registry, store
 
 
+def _instance(cfg: CliConfig,
+              instance_hash: str) -> tuple[Engine, InstanceState, StateMachineModel]:
+    """Engine, latest state and model of an instance; the stored state must fit the model."""
+    engine, _, registry, store = _engine(cfg)
+    state = engine.load_state(instance_hash)
+    machine = parse_model_bytes(store.get(registry.get_instance(instance_hash).model_hash))
+    if (state.instance_hash != instance_hash or state.current_state not in machine.states
+            or set(state.variables) != set(machine.variables)):
+        raise CorruptContent(f"latest state of {instance_hash} does not fit its model")
+    return engine, state, machine
+
+
 def _tracker(cfg: CliConfig) -> Tracker:
     ledger, registry, store = _services(cfg)
     tracker = Tracker(ledger, registry, store)
@@ -157,8 +170,7 @@ def model_register(cfg: CliConfig, model_file, descriptor_id, descriptor_name):
     """Validate, hash, store and register a model file."""
     machine = load_model_file(model_file)
     engine, _, _, store = _engine(cfg)
-    store.put(canonical_serialize(machine))
-    mh = model_hash(machine)
+    mh = store.put(canonical_serialize(machine))
     descriptor = Descriptor(id=descriptor_id or machine.name,
                             name=descriptor_name or machine.name)
     engine.submit_call(call_register_model(mh, descriptor))
@@ -210,9 +222,7 @@ def instance_create(cfg: CliConfig, model_hash_arg, nonce, descriptor_id, descri
 @click.pass_obj
 def instance_step(cfg: CliConfig, instance_hash, transition_id):
     """Fire one transition and register it on-chain."""
-    engine, _, registry, store = _engine(cfg)
-    state = engine.load_state(instance_hash)
-    machine = parse_model_bytes(store.get(registry.get_instance(instance_hash).model_hash))
+    engine, state, machine = _instance(cfg, instance_hash)
     _, record = engine.fire_and_register(state, machine, transition_id)
     emit({
         "instance_hash": instance_hash,
@@ -229,9 +239,7 @@ def instance_step(cfg: CliConfig, instance_hash, transition_id):
 @click.pass_obj
 def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):
     """Random walk: fire seeded random enabled transitions, then terminate."""
-    engine, _, registry, store = _engine(cfg)
-    state = engine.load_state(instance_hash)
-    machine = parse_model_bytes(store.get(registry.get_instance(instance_hash).model_hash))
+    engine, state, machine = _instance(cfg, instance_hash)
     trace = engine.random_walk(machine, state, steps, walk_seed)
     for step in trace.steps:
         emit({"post_state": step.post_hash, "transition": step.transition_id})

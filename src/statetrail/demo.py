@@ -18,7 +18,7 @@ from .engine import Engine, InstanceState, enabled_transitions
 from .errors import ConvergenceFailed
 from .hashing import content_hash, digest
 from .ledger import Ledger
-from .model import StateMachineModel, canonical_serialize, model_hash, validate_model
+from .model import StateMachineModel, canonical_serialize, validate_model
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
 from .store import DirectoryContentStore
 from .tracker import STATUS_VERIFIED, Tracker
@@ -83,8 +83,7 @@ def multiparty(parties: int = 3, steps: int = 50, seed: int = 7,
     owner, delegate = accounts[0], accounts[-1]
 
     model = demo_model()
-    mh = model_hash(model)
-    store.put(canonical_serialize(model))
+    mh = store.put(canonical_serialize(model))
     owner_engine = Engine(ledger, registry, store, owner)
     delegate_engine = Engine(ledger, registry, store, delegate)
     owner_engine.submit_call(call_register_model(mh, Descriptor(id="conveyor", name="conveyor")))

@@ -151,18 +151,15 @@ class Engine:
         mh = model_hash(model)
         if not self.registry.has_model(mh):
             raise ModelNotRegistered(f"model {mh} is not registered")
-        record = creation_record(mh, self.account, descriptor, nonce)
-        instance_hash = digest(record)
+        instance_hash = self.store.put(creation_record(mh, self.account, descriptor, nonce))
         initial = InstanceState(
             instance_hash=instance_hash,
             current_state=model.initial,
             variables=MappingProxyType(dict(model.variables)),
             step=0,
         )
-        self.store.put(record)
-        self.store.put(state_content(initial))
-        self.submit_call(call_register_instance(instance_hash, mh, descriptor,
-                                                state_hash(initial)))
+        initial_hash = self.store.put(state_content(initial))
+        self.submit_call(call_register_instance(instance_hash, mh, descriptor, initial_hash))
         return initial
 
     def fire_and_register(
@@ -176,12 +173,11 @@ class Engine:
         """
         post = fire(state, model, transition_id)
         pre_hash = state_hash(state)
-        post_hash = state_hash(post)
         # the previous step already stored the pre-state; rewriting its
         # file would cost I/O and could tear registered content on a crash
         if not self.store.has(pre_hash):
             self.store.put(state_content(state))
-        self.store.put(state_content(post))
+        post_hash = self.store.put(state_content(post))
         self.submit_call(call_register_transition(state.instance_hash, pre_hash, post_hash))
         record = self.registry.get_transitions(state.instance_hash)[-1]
         return post, record
@@ -206,9 +202,8 @@ class Engine:
             if not enabled:
                 break
             transition = rng.choice(enabled)
-            pre_hash = state_hash(state)
-            state, _ = self.fire_and_register(state, model, transition.id)
-            trace.append(TraceStep(transition.id, pre_hash, state_hash(state)))
+            state, record = self.fire_and_register(state, model, transition.id)
+            trace.append(TraceStep(transition.id, record.pre_state, record.post_state))
         self.terminate(instance.instance_hash)
         return ExecutionTrace(steps=tuple(trace))
 

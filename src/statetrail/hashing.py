@@ -25,20 +25,21 @@ _HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _ACCOUNT_RE = re.compile(r"^0x[0-9a-f]{40}$")
 
 
-def _nfc(value: Any) -> Any:
+def nfc(value: Any) -> Any:
+    """The value with every string in it, keys included, in Unicode NFC."""
     if isinstance(value, str):
         return unicodedata.normalize("NFC", value)
     if isinstance(value, dict):
-        return {_nfc(k): _nfc(v) for k, v in value.items()}
+        return {nfc(k): nfc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_nfc(v) for v in value]
+        return [nfc(v) for v in value]
     return value
 
 
 def canonical_bytes(value: Any) -> bytes:
     """Serialize a JSON-compatible value to its canonical byte form."""
     return json.dumps(
-        _nfc(value),
+        nfc(value),
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=False,

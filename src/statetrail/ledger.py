@@ -8,10 +8,15 @@ failure marker and emit no events, mirroring reverted transactions.
 
 Block height 0 is an empty genesis block created at construction, so the
 zero cursor (0, 0, 0) sorts strictly before every real event position.
+A block's timestamp is its height.
 
-Optional persistence appends one canonical-JSON block per line to a file;
-replaying the file re-executes every transaction and must reproduce the
-stored blocks bit for bit.
+Optional persistence appends one canonical-JSON block per line to a file.
+Opening the file re-executes every transaction and must reproduce every
+stored block; a line that is not a well-formed block, or that replays to
+a different block, raises ChainCorrupt at its height. `verify_chain_file`
+checks a file without executing it: each line must be exactly the
+canonical bytes of its block, with its height as timestamp and a correct
+hash and linkage.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import bisect
 import json
 import threading
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .errors import (
     AccountExists,
@@ -168,18 +174,15 @@ class Ledger:
         *,
         path: str | Path | None = None,
         batch_size: int = 1,
-        clock: Callable[[], int] | None = None,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self._contract = contract
         self._path = Path(path) if path is not None else None
         self._batch_size = batch_size
-        self._clock = clock
         self._lock = threading.Lock()
         self._blocks: list[Block] = []
         self._events: list[EventRecord] = []
-        self._positions: list[Cursor] = []
         self._accounts: set[str] = set()
         self._nonces: dict[str, int] = {}
         self._accounts_submitted: set[str] = set()
@@ -187,20 +190,12 @@ class Ledger:
         self._pending: list[tuple[LedgerTransaction, TxReceipt]] = []
         if self._path is not None and self._path.exists():
             self._replay_file()
-        else:
-            genesis = self._seal(Block(0, ZERO_HASH, [], [], self._next_timestamp()))
-            self._persist(genesis)
+        if not self._blocks:  # new, or a file emptied before genesis was written
+            self._persist(self._apply_block([]))
 
     @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        contract: Contract,
-        *,
-        batch_size: int = 1,
-        clock: Callable[[], int] | None = None,
-    ) -> "Ledger":
-        return cls(contract, path=path, batch_size=batch_size, clock=clock)
+    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1) -> "Ledger":
+        return cls(contract, path=path, batch_size=batch_size)
 
     # ------------------------------------------------------------------ reads
 
@@ -221,26 +216,10 @@ class Ledger:
     def events_since(self, cursor: Cursor) -> list[EventRecord]:
         """All committed events strictly after the cursor, in total order."""
         cursor = tuple(cursor)  # type: ignore[assignment]
-        if cursor != ZERO_CURSOR:
-            idx = bisect.bisect_left(self._positions, cursor)
-            known = idx < len(self._positions) and self._positions[idx] == cursor
-            if not known:
-                raise InvalidCursor(f"cursor {cursor} is not a committed event position")
-        start = bisect.bisect_right(self._positions, cursor)
+        start = bisect.bisect_right(self._events, cursor, key=attrgetter("position"))
+        if cursor != ZERO_CURSOR and (start == 0 or self._events[start - 1].position != cursor):
+            raise InvalidCursor(f"cursor {cursor} is not a committed event position")
         return self._events[start:]
-
-    def verify_chain(self) -> VerificationReport:
-        """Recompute every block hash and linkage over committed blocks."""
-        prev = ZERO_HASH
-        for i, block in enumerate(self._blocks):
-            if block.height != i:
-                return VerificationReport(False, i, i, "height out of sequence")
-            if block.prev_hash != prev:
-                return VerificationReport(False, i, i, "broken linkage to previous block")
-            if block.compute_hash() != block.block_hash:
-                return VerificationReport(False, i, i, "block hash mismatch")
-            prev = block.block_hash
-        return VerificationReport(True, len(self._blocks))
 
     # ----------------------------------------------------------------- writes
 
@@ -255,19 +234,18 @@ class Ledger:
         with self._lock:
             return self._submit_locked(tx)
 
-    def commit_block(self, timestamp: int | None = None) -> Block:
+    def commit_block(self) -> Block:
         """Apply all pending transactions in submission order as one block."""
         with self._lock:
-            return self._commit_locked(timestamp)
+            return self._commit_locked()
 
     # --------------------------------------------------------------- internals
 
     def _submit_locked(self, tx: LedgerTransaction) -> TxReceipt:
-        is_faucet_create = tx.sender == FAUCET_ACCOUNT and tx.call.get("op") == OP_CREATE_ACCOUNT
-        if is_faucet_create:
-            account = tx.call["args"]["account"]
-            if not is_account_id(account):
-                raise UnknownSender(f"malformed account id {account!r}")
+        is_create, account = _faucet_creation(tx)
+        if is_create:
+            if account is None:
+                raise UnknownSender(f"no well-formed account id in {tx.call!r}")
             if account in self._accounts_submitted:
                 raise AccountExists(f"account {account} already exists")
             expected = self._nonces_submitted.get(FAUCET_ACCOUNT, 0) + 1
@@ -283,13 +261,12 @@ class Ledger:
         receipt = TxReceipt(tx)
         self._pending.append((tx, receipt))
         if len(self._pending) >= self._batch_size:
-            self._commit_locked(None)
+            self._commit_locked()
         return receipt
 
-    def _commit_locked(self, timestamp: int | None) -> Block:
+    def _commit_locked(self) -> Block:
         pending, self._pending = self._pending, []
-        ts = self._next_timestamp() if timestamp is None else timestamp
-        block = self._apply_block([tx for tx, _ in pending], ts)
+        block = self._apply_block([tx for tx, _ in pending])
         self._persist(block)
         for tx_index, ((_, receipt), applied) in enumerate(zip(pending, block.transactions)):
             receipt.status = applied.status
@@ -298,16 +275,9 @@ class Ledger:
             receipt.tx_index = tx_index
         return block
 
-    def _next_timestamp(self) -> int:
-        height = len(self._blocks)
-        if self._clock is None:
-            return height
-        last = self._blocks[-1].timestamp if self._blocks else -1
-        return max(int(self._clock()), last + 1)
-
-    def _apply_block(self, txs: list[LedgerTransaction], timestamp: int) -> Block:
+    def _apply_block(self, txs: list[LedgerTransaction]) -> Block:
         """Execute transactions and seal the resulting block. Deterministic."""
-        height = len(self._blocks)
+        height = timestamp = len(self._blocks)
         applied: list[AppliedTransaction] = []
         events: list[EventRecord] = []
         for tx_index, tx in enumerate(txs):
@@ -324,9 +294,9 @@ class Ledger:
     ) -> tuple[str, str | None, list[tuple[str, dict]]]:
         # account creation is a ledger-level op reserved to the faucet sender;
         # anything else is dispatched to the contract
-        if tx.sender == FAUCET_ACCOUNT and tx.call.get("op") == OP_CREATE_ACCOUNT:
-            account = (tx.call.get("args") or {}).get("account")
-            if not is_account_id(account):
+        is_create, account = _faucet_creation(tx)
+        if is_create:
+            if account is None:
                 return STATUS_FAILED, "UnknownCall", []
             if account in self._accounts:
                 return STATUS_FAILED, "AccountExists", []
@@ -341,9 +311,7 @@ class Ledger:
     def _seal(self, block: Block) -> Block:
         block.block_hash = block.compute_hash()
         self._blocks.append(block)
-        for event in block.events:
-            self._events.append(event)
-            self._positions.append(event.position)
+        self._events.extend(block.events)
         return block
 
     def _persist(self, block: Block) -> None:
@@ -355,22 +323,19 @@ class Ledger:
 
     def _replay_file(self) -> None:
         assert self._path is not None
-        for lineno, raw in enumerate(self._path.read_bytes().splitlines()):
+        for height, raw in enumerate(self._path.read_bytes().splitlines()):
+            # genesis carries no transactions, whatever its line claims. Applying
+            # a forged block can fail too: a sender that is not a string, or a
+            # value with no canonical encoding (NaN, a lone surrogate)
             try:
                 stored = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ChainCorrupt(f"unparseable block at height {lineno}: {exc}") from exc
-            txs = [
-                LedgerTransaction(t["sender"], t["call"], t["nonce"])
-                for t in stored.get("transactions", [])
-            ]
-            if lineno == 0:
-                block = self._seal(Block(0, ZERO_HASH, [], [], stored.get("timestamp", 0)))
-            else:
-                block = self._apply_block(txs, stored.get("timestamp", 0))
+                txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
+                       for t in stored["transactions"]] if height else []
+                block = self._apply_block(txs)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
             if block.to_dict() != stored:
-                raise ChainCorrupt(
-                    f"replay diverged from stored block at height {lineno}")
+                raise ChainCorrupt(f"replay diverged from stored block at height {height}")
         # resync submission-time views with the committed state
         self._accounts_submitted = set(self._accounts)
         self._nonces_submitted = dict(self._nonces)
@@ -379,31 +344,49 @@ class Ledger:
 def verify_chain_file(path: str | Path) -> VerificationReport:
     """Structural integrity check of a persisted ledger file.
 
-    Detects any byte-level mutation: unparseable lines, block hash
-    mismatches, and broken prev-hash linkage, reported at the first
-    failing height.
+    Detects any byte-level mutation: unparseable lines, a height or
+    timestamp out of sequence, block hash mismatches, and broken prev-hash
+    linkage, reported at the first failing height.
     """
     lines = Path(path).read_bytes().splitlines()
     prev = ZERO_HASH
     for height, raw in enumerate(lines):
         try:
             stored = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or not UTF-8
             return VerificationReport(False, height, height, "unparseable block")
         try:
             block = _block_from_dict(stored)
-        except (KeyError, TypeError) as exc:
-            return VerificationReport(False, height, height, f"malformed block: {exc}")
+            content = block.content_dict()  # built once for the hash and the line
+            block_hash = digest(canonical_bytes(content))
+            # the exact bytes the ledger writes for this block, so extra
+            # or missing keys anywhere in the line show as a mismatch
+            encoded = canonical_bytes({**content, "block_hash": block.block_hash})
+        except (KeyError, TypeError, ValueError) as exc:
+            return VerificationReport(False, height, height, f"malformed block: {exc!r}")
         if block.height != height:
             return VerificationReport(False, height, height, "height out of sequence")
+        if block.timestamp != height:
+            return VerificationReport(False, height, height, "timestamp is not the height")
         if block.prev_hash != prev:
             return VerificationReport(False, height, height, "broken linkage to previous block")
-        if block.compute_hash() != block.block_hash:
+        if block_hash != block.block_hash:
             return VerificationReport(False, height, height, "block hash mismatch")
-        if canonical_bytes(stored) != raw:
+        if encoded != raw:
             return VerificationReport(False, height, height, "non-canonical block encoding")
         prev = block.block_hash
     return VerificationReport(True, len(lines))
+
+
+def _faucet_creation(tx: LedgerTransaction) -> tuple[bool, str | None]:
+    """Whether `tx` is the faucet's account creation, and the well-formed id it names."""
+    call = tx.call
+    if (tx.sender != FAUCET_ACCOUNT or not isinstance(call, dict)
+            or call.get("op") != OP_CREATE_ACCOUNT):
+        return False, None
+    args = call.get("args")
+    account = args.get("account") if isinstance(args, dict) else None
+    return True, account if is_account_id(account) else None
 
 
 def _block_from_dict(d: dict) -> Block:

@@ -21,7 +21,6 @@ Model file schema (UTF-8 JSON, unknown fields rejected):
 from __future__ import annotations
 
 import json
-import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -34,7 +33,7 @@ from .errors import (
     MissingInitial,
     UnknownVariable,
 )
-from .hashing import canonical_bytes, digest
+from .hashing import canonical_bytes, digest, nfc
 
 GUARD_OPS = ("<", "<=", "==", ">=", ">")
 
@@ -94,10 +93,6 @@ class StateMachineModel:
         return None
 
 
-def _nfc(s: str) -> str:
-    return unicodedata.normalize("NFC", s)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidModelDocument(message)
@@ -110,7 +105,7 @@ def _check_fields(obj: dict, allowed: set[str], what: str) -> None:
 
 def _parse_string(value: Any, what: str) -> str:
     _require(isinstance(value, str) and value != "", f"{what} must be a non-empty string")
-    return _nfc(value)
+    return nfc(value)
 
 
 def _parse_int(value: Any, what: str) -> int:

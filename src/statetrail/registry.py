@@ -28,7 +28,11 @@ from .errors import (
     UnknownModel,
     UnknownSubject,
 )
-from .hashing import canonical_bytes
+from .hashing import canonical_bytes, is_account_id, is_content_hash
+
+# call arguments that must hold a content hash; `delegate` holds an account id
+_HASH_ARGS = frozenset({"model_hash", "instance_hash", "initial_state_hash", "pre_state",
+                        "post_state", "subject_hash"})
 
 EVENT_INSTANCE_CREATED = "InstanceCreated"
 EVENT_TRANSITION = "TransitionEvent"
@@ -154,10 +158,13 @@ class Registry:
 
     def apply(self, sender: str, call: dict, timestamp: int) -> list[tuple[str, dict]]:
         """Dispatch one registry call; returns the events it emitted."""
-        op = call.get("op")
-        args = call.get("args")
-        if not isinstance(args, dict):
-            raise UnknownCall("call args must be an object")
+        if not isinstance(call, dict) or not isinstance(call.get("args"), dict):
+            raise UnknownCall("a call and its args must be objects")
+        op, args = call.get("op"), call["args"]
+        for name, value in args.items():
+            if (name in _HASH_ARGS and not is_content_hash(value)
+                    or name == "delegate" and not is_account_id(value)):
+                raise UnknownCall(f"malformed call argument {name!r}")
         try:
             if op == "register_model":
                 self.register_model(sender, args["model_hash"],

@@ -121,12 +121,14 @@ def export_protocol(protocol: InstanceProtocol) -> bytes:
 
 
 def import_protocol(data: bytes) -> InstanceProtocol:
-    entries = []
-    for line in data.splitlines():
-        raw = json.loads(line)
-        entries.append(ProtocolEntry(**{name: raw[name] for name in EXPORT_FIELDS}))
+    """Read an export back; anything that is not one raises CorruptContent."""
+    try:
+        entries = [ProtocolEntry(**{name: raw[name] for name in EXPORT_FIELDS})
+                   for raw in map(json.loads, data.splitlines())]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorruptContent(f"not a protocol export: {exc!r}") from exc
     if not entries:
-        raise TrailError("cannot import an empty protocol")
+        raise CorruptContent("cannot import an empty protocol")
     return InstanceProtocol(
         instance_hash=entries[0].instance_hash,
         model_hash=entries[0].model_hash,

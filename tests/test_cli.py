@@ -98,6 +98,35 @@ class TestInstanceCommands:
         again = invoke(workdir, "instance", "step", ih, "bc")
         assert again.exit_code == EXIT_CODES["InstanceTerminated"]
 
+    @pytest.mark.parametrize("command", [("step", "ab"), ("run", "--steps", "3")],
+                             ids=["step", "run"])
+    @pytest.mark.parametrize("foreign", [
+        {"current_state": "p", "variables": {}},
+        {"current_state": "p", "variables": {"n": 0, "m": 0}},
+        {"current_state": "x", "variables": {"n": 0}},
+        {"current_state": "p", "variables": {"n": 0}, "instance_hash": "0x" + "e" * 64},
+    ], ids=["missing-variable", "extra-variable", "unknown-state", "other-instance"])
+    def test_foreign_latest_state_is_corrupt_content(self, workdir, funded, command, foreign):
+        from statetrail.hashing import canonical_bytes
+        from statetrail.ledger import Ledger
+        from statetrail.registry import Registry, call_register_transition
+        from statetrail.store import DirectoryContentStore
+
+        from conftest import raw_submit
+
+        ih = create_instance(workdir, register_cycle(workdir))
+        registry = Registry()
+        ledger = Ledger.open(workdir / "ledger.jsonl", registry)
+        bad = DirectoryContentStore(workdir / "store").put(
+            canonical_bytes({"instance_hash": ih, "step": 1, **foreign}))
+        initial = registry.get_instance(ih).latest_state
+        assert raw_submit(ledger, funded, call_register_transition(ih, initial, bad)).ok
+        blocks = (workdir / "ledger.jsonl").read_bytes().count(b"\n")
+        result = invoke(workdir, "instance", *command[:1], ih, *command[1:])
+        assert result.exit_code == EXIT_CODES["CorruptContent"]
+        assert last_json(result)["error"] == "CorruptContent"
+        assert (workdir / "ledger.jsonl").read_bytes().count(b"\n") == blocks
+
     def test_step_with_wrong_source_state(self, workdir, funded):
         mh = register_cycle(workdir)
         ih = create_instance(workdir, mh)
@@ -207,6 +236,23 @@ class TestChainCommands:
         report = json.loads(result.output.strip().splitlines()[0])
         assert report["ok"] is False and report["first_bad_height"] is not None
 
+    @pytest.mark.parametrize("where", ["block", "event"])
+    def test_extra_key_detected(self, workdir, funded, where):
+        from statetrail.hashing import canonical_bytes
+
+        ih = create_instance(workdir, register_cycle(workdir))
+        invoke(workdir, "instance", "step", ih, "ab")
+        path = workdir / "ledger.jsonl"
+        lines = path.read_bytes().splitlines()
+        block = json.loads(lines[-1])
+        (block if where == "block" else block["events"][0])["extra"] = 1
+        lines[-1] = canonical_bytes(block)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        result = invoke(workdir, "chain", "verify")
+        assert result.exit_code == EXIT_CODES["ChainCorrupt"]
+        report = json.loads(result.output.strip().splitlines()[0])
+        assert report["ok"] is False and report["first_bad_height"] == len(lines) - 1
+
 
 class TestDemo:
     def test_multiparty_summary(self, tmp_path):
@@ -226,6 +272,25 @@ class TestDemo:
             assert result.exit_code == 0
             outs.append(last_json(result)["export_digest"])
         assert outs[0] == outs[1]
+
+    def test_seed_7_output_bytes_are_pinned(self, tmp_path):
+        # the ledger file, the model hash and the exports are the system's
+        # own standard of sameness; any change to them is a format change
+        import hashlib
+
+        result = invoke(tmp_path, "demo", "multiparty", "--parties", "3", "--steps", "50",
+                        "--seed", "7", "--workdir", str(tmp_path / "demo"))
+        assert result.exit_code == 0, result.output
+        summary = last_json(result)
+        ledger = (tmp_path / "demo" / "ledger.jsonl").read_bytes()
+        assert hashlib.sha256(ledger).hexdigest() == \
+            "4ec4ee592bda267d3299fdcb1bb45b5eb15a333aa847bb193eb1a9f70f567f7e"
+        assert summary["model_hash"] == \
+            "0xf9eb6305a8ebdb9eda9354e62bcb8474282591108e52f6c3595db33ba88be1e6"
+        assert sorted(summary["export_digest"].values()) == [
+            "0x02640b1ea5e799b3ac8b3212b11f19b14e76fbf9363b74ee31fecb1d7e74893f",
+            "0xa039ac621e8a6a627ef82cfa18b1702cb276f9d1d261b33858c5d1eb30790d3c",
+        ]
 
     def test_rerun_in_same_workdir_is_reproducible(self, tmp_path):
         digests = []

@@ -19,7 +19,7 @@ from statetrail.errors import (
     UnknownTransition,
     WrongSourceState,
 )
-from statetrail.ledger import ZERO_CURSOR
+from statetrail.ledger import ZERO_CURSOR, verify_chain_file
 from statetrail.model import model_hash, validate_model
 from statetrail.registry import Descriptor, call_delegate_access, call_register_model
 
@@ -290,9 +290,10 @@ class TestLoadState:
 
 
 class TestConcurrentInstances:
-    def test_two_threads_drive_distinct_instances(self, world):
+    def test_two_threads_drive_distinct_instances(self, tmp_path):
         import threading
 
+        world = make_world(path=tmp_path / "ledger.jsonl")
         model = cycle_model()
         owner = registered(world, model)
         rival = engine_for(world, BOB)
@@ -322,7 +323,7 @@ class TestConcurrentInstances:
         for key in (ALICE, BOB):
             record = world.registry.get_instance(states[key].instance_hash)
             assert record.transition_count == 15
-        assert world.ledger.verify_chain().ok
+        assert verify_chain_file(tmp_path / "ledger.jsonl").ok
         events = [e for e in world.ledger.events_since(ZERO_CURSOR)
                   if e.kind == "TransitionEvent"]
         assert len(events) == 30

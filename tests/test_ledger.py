@@ -1,6 +1,5 @@
 """Ledger ordering, hash chain integrity, event log and persistence."""
 
-import dataclasses
 import json
 import random
 
@@ -14,7 +13,7 @@ from statetrail.errors import (
     UnknownCall,
     UnknownSender,
 )
-from statetrail.hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes
+from statetrail.hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes, content_hash
 from statetrail.ledger import (
     Ledger,
     LedgerTransaction,
@@ -22,6 +21,9 @@ from statetrail.ledger import (
     create_account_call,
     verify_chain_file,
 )
+
+from statetrail.model import model_hash
+from statetrail.registry import Descriptor, Registry, call_register_model
 
 from conftest import ALICE, BOB, engine_for, make_world, minimal_model, raw_submit
 
@@ -96,6 +98,19 @@ class TestSubmission:
             ledger.submit(tx("bogus", 1))
         assert ledger.height == height and "bogus" not in ledger.known_accounts()
 
+    @pytest.mark.parametrize("call", [
+        {"op": "create_account"},
+        {"op": "create_account", "args": []},
+        {"op": "create_account", "args": "0x" + "7" * 40},
+        {"op": "create_account", "args": {}},
+    ], ids=["no-args", "list-args", "string-args", "no-account"])
+    def test_faucet_creation_without_account_object_rejected(self, call):
+        ledger = echo_ledger()
+        height = ledger.height
+        with pytest.raises(UnknownSender):
+            ledger.submit(LedgerTransaction(FAUCET_ACCOUNT, call, 0))
+        assert ledger.height == height and ledger.known_accounts() == {ALICE, BOB}
+
     def test_nonces_are_per_sender(self):
         ledger = echo_ledger()
         ledger.submit(tx(ALICE, 1))
@@ -113,13 +128,13 @@ class TestBlocks:
         assert genesis.prev_hash == ZERO_HASH
         assert genesis.transactions == []
 
-    def test_empty_commit(self):
-        ledger = echo_ledger()
+    def test_empty_commit(self, tmp_path):
+        ledger = echo_ledger(path=tmp_path / "ledger.jsonl")
         before = ledger.height
         block = ledger.commit_block()
         assert block.height == before + 1
         assert block.transactions == [] and block.events == []
-        assert ledger.verify_chain().ok
+        assert verify_chain_file(tmp_path / "ledger.jsonl").ok
 
     def test_failed_calls_stay_on_chain_without_events(self):
         ledger = echo_ledger()
@@ -145,14 +160,6 @@ class TestBlocks:
             ledger.commit_block()
         stamps = [b.timestamp for b in ledger.blocks]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
-
-    def test_wall_clock_mode_is_forced_monotone(self):
-        readings = iter([100, 100, 99, 250])
-        ledger = echo_ledger(accounts=(), clock=lambda: next(readings))
-        for _ in range(3):
-            ledger.commit_block()
-        stamps = [b.timestamp for b in ledger.blocks]
-        assert stamps == [100, 101, 102, 250]
 
 
 class TestEvents:
@@ -210,32 +217,65 @@ class TestEvents:
         assert len(positions) == len(set(positions)) == 12
 
 
+def edit_block(path, height, edit, reseal=False):
+    """Rewrite one stored block in canonical form after `edit(block)`.
+
+    With `reseal`, that block and every later one get fresh hashes and
+    links, as a forger able to recompute them would write them.
+    """
+    blocks = [json.loads(line) for line in path.read_bytes().splitlines()]
+    edit(blocks[height])
+    if reseal:
+        for prev, block in zip(blocks[height - 1:], blocks[height:]):
+            block["prev_hash"] = prev["block_hash"]
+            block["block_hash"] = content_hash(
+                {k: v for k, v in block.items() if k != "block_hash"})
+    path.write_bytes(b"".join(canonical_bytes(b) + b"\n" for b in blocks))
+
+
 class TestChainIntegrity:
-    def test_honest_run_verifies(self):
-        ledger = echo_ledger()
+    def test_honest_run_verifies(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
         for i in range(1, 11):
             ledger.submit(tx(ALICE, i, op="emit", n=1))
-        report = ledger.verify_chain()
+        report = verify_chain_file(path)
         assert report.ok and report.blocks_checked == len(ledger.blocks)
 
-    def test_tampered_payload_detected_at_height(self):
-        ledger = echo_ledger()
+    def test_tampered_payload_detected_at_height(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
         for i in range(1, 7):
             ledger.submit(tx(ALICE, i, op="emit", n=1))
-        victim = ledger.blocks[4]
-        tampered = dataclasses.replace(victim.transactions[0], nonce=99)
-        victim.transactions[0] = tampered
-        report = ledger.verify_chain()
+        edit_block(path, 4, lambda b: b["transactions"][0].update(nonce=99))
+        report = verify_chain_file(path)
         assert not report.ok
         assert report.first_bad_height == 4
 
-    def test_relinked_prev_hash_detected(self):
-        ledger = echo_ledger()
+    def test_relinked_prev_hash_detected(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
         for i in range(1, 7):
             ledger.submit(tx(ALICE, i))
-        ledger.blocks[5].prev_hash = ledger.blocks[3].block_hash
-        report = ledger.verify_chain()
+        edit_block(path, 5, lambda b: b.update(prev_hash=ledger.blocks[3].block_hash))
+        report = verify_chain_file(path)
         assert not report.ok and report.first_bad_height == 5
+
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.update(extra=1),
+        lambda b: b["events"][0].update(extra=1),
+        lambda b: b["transactions"][0].update(extra=1),
+    ], ids=["block", "event", "transaction"])
+    def test_extra_key_detected_at_height(self, tmp_path, edit):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
+        for i in range(1, 5):
+            ledger.submit(tx(ALICE, i, op="emit", n=1))
+        edit_block(path, 4, edit)
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 4
+        with pytest.raises(ChainCorrupt):
+            Ledger.open(path, EchoContract())
 
 
 class TestPersistence:
@@ -300,3 +340,68 @@ class TestPersistence:
             for v in views
         ]
         assert len(set(dumps)) == 1
+
+
+class TestAdversarialFiles:
+    """A forger who recomputes hashes and links still cannot crash a replay."""
+
+    @staticmethod
+    def forged_chain(tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        world = make_world(path=path)  # blocks 1-3 create the accounts
+        engine = engine_for(world, ALICE)
+        engine.submit_call(call_register_model(model_hash(minimal_model()), Descriptor("m", "m")))
+        return path  # block 4 holds the model registration
+
+    @pytest.mark.parametrize("height, edit", [
+        (1, lambda b: b["transactions"][0]["call"].update(args="0x" + "7" * 40)),
+        (1, lambda b: b["transactions"][0]["call"].pop("args")),
+        (4, lambda b: b["transactions"][0].update(call=5)),
+        (4, lambda b: b["transactions"][0].pop("sender")),
+        (4, lambda b: b["transactions"][0].update(sender=[ALICE])),
+        (4, lambda b: b.update(transactions="x")),
+        (4, lambda b: b.update(transactions=5)),
+        (4, lambda b: b.update(transactions={"sender": ALICE})),
+        (4, lambda b: b.pop("transactions")),
+        (4, lambda b: b["transactions"][0].update(call={"op": "register_model", "args": {
+            "model_hash": [], "descriptor": {"id": "m"}}})),
+        (4, lambda b: b.update(timestamp=99)),
+    ], ids=["faucet-string-args", "faucet-no-args", "number-call", "no-sender",
+            "list-sender", "string-transactions", "number-transactions",
+            "object-transactions", "no-transactions", "list-hash", "timestamp"])
+    def test_resealed_forgery_is_chain_corrupt(self, tmp_path, height, edit):
+        path = self.forged_chain(tmp_path)
+        edit_block(path, height, edit, reseal=True)
+        with pytest.raises(ChainCorrupt, match=f"at height {height}"):
+            Ledger.open(path, Registry())
+
+    def test_resealed_timestamp_fails_chain_verify(self, tmp_path):
+        # the structural check holds the same timestamp rule as a replay
+        path = self.forged_chain(tmp_path)
+        edit_block(path, 4, lambda b: b.update(timestamp=99), reseal=True)
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 4
+        assert report.reason == "timestamp is not the height"
+
+    @pytest.mark.parametrize("line", [
+        b"[]", b"5", b"null", b'"block"', b"{}", b"NaN", b'{"height":"\xff"}',
+        b'{"transactions":[{"call":NaN,"nonce":1,"sender":"x"}]}',
+        b'{"transactions":[{"call":{},"nonce":1,"sender":"\\ud800"}]}',
+    ])
+    def test_line_that_is_not_a_block_is_chain_corrupt(self, tmp_path, line):
+        path = self.forged_chain(tmp_path)
+        lines = path.read_bytes().splitlines()
+        lines[2] = line
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ChainCorrupt, match="at height 2"):
+            Ledger.open(path, Registry())
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 2
+
+    def test_empty_file_gets_a_genesis_block(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.touch()
+        ledger = Ledger.open(path, EchoContract())
+        ledger.create_account(ALICE)
+        assert len(Ledger.open(path, EchoContract()).blocks) == 2
+        assert verify_chain_file(path).ok

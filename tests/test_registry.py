@@ -12,6 +12,7 @@ from statetrail.errors import (
     NotAuthorized,
     StaleChain,
     UnknownInstance,
+    UnknownCall,
     UnknownModel,
     UnknownSubject,
 )
@@ -21,7 +22,9 @@ from statetrail.registry import (
     Descriptor,
     InstanceStatus,
     Registry,
+    call_delegate_access,
     call_register_transition,
+    call_terminate_instance,
 )
 
 from conftest import ALICE, BOB, CARA, cycle_model, engine_for, make_world, raw_submit
@@ -180,6 +183,39 @@ class TestOwnershipAndDelegation:
         registry = with_instance()
         registry.delegate_access(ALICE, H_INSTANCE, BOB)
         assert registry.get_owner(H_INSTANCE) == ALICE
+
+
+class TestMalformedCalls:
+    @pytest.mark.parametrize("call", [
+        5,
+        "register_model",
+        ["register_model"],
+        {"op": "register_model", "args": "m"},
+        {"op": "register_model", "args": {"model_hash": [], "descriptor": {"id": "m"}}},
+        {"op": "terminate_instance", "args": {"instance_hash": {}}},
+    ], ids=["number", "string", "list", "string-args", "list-hash", "object-hash"])
+    def test_rejected_as_unknown_call(self, world, call):
+        # the transaction stays on-chain as failed and the ledger goes on
+        receipt = raw_submit(world.ledger, ALICE, call)
+        assert receipt.status == "failed" and receipt.error == "UnknownCall"
+        assert raw_submit(world.ledger, ALICE, call_terminate_instance(H_INSTANCE)).height \
+            == receipt.height + 1
+
+    @pytest.mark.parametrize("call", [
+        call_register_transition(H_INSTANCE, h("s0"), []),
+        call_register_transition(H_INSTANCE, h("s0"), 5),
+        call_register_transition(H_INSTANCE, h("s0"), "0xabc"),
+        call_delegate_access(H_INSTANCE, []),
+        call_delegate_access(H_INSTANCE, "bob"),
+    ], ids=["list-post-state", "number-post-state", "short-post-state", "list-delegate",
+            "name-delegate"])
+    def test_ill_formed_hash_or_account_changes_nothing(self, call):
+        registry = with_instance()
+        before = registry.snapshot()
+        with pytest.raises(UnknownCall):
+            registry.apply(ALICE, call, 0)
+        assert registry.snapshot() == before
+        assert registry.get_instance(H_INSTANCE).latest_state == h("s0")
 
 
 class TestReads:

@@ -11,6 +11,7 @@ from statetrail.model import canonical_serialize, model_hash
 from statetrail.registry import Descriptor, call_register_model, call_register_transition
 from statetrail.store import ContentStore, DirectoryContentStore
 from statetrail.tracker import (
+    EXPORT_FIELDS,
     STATUS_INCONSISTENT,
     STATUS_UNVERIFIED,
     STATUS_VERIFIED,
@@ -363,6 +364,22 @@ class TestExport:
         imported = import_protocol(data)
         assert imported == tracker.protocols[state.instance_hash]
         assert export_protocol(imported) == data
+
+    @pytest.mark.parametrize("data", [
+        b"",
+        b"\n",
+        b"not json",
+        b"\xff\xfe",
+        b"{}",
+        b"[]",
+        b"5",
+        b'{"kind": "creation"}',
+        canonical_bytes(dict.fromkeys(EXPORT_FIELDS)) + b"\nnot json",
+    ], ids=["empty", "blank-line", "not-json", "not-utf8", "no-fields", "list",
+            "number", "missing-fields", "bad-second-line"])
+    def test_import_failure_is_corrupt_content(self, data):
+        with pytest.raises(CorruptContent):
+            import_protocol(data)
 
     def test_export_fields_are_exactly_the_contract(self):
         import json
