@@ -191,7 +191,7 @@ class Ledger:
         if self._path is not None and self._path.exists():
             self._replay_file()
         if not self._blocks:  # new, or a file emptied before genesis was written
-            self._persist(self._apply_block([]))
+            self._persist(*self._apply_block([]))
 
     @classmethod
     def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1) -> "Ledger":
@@ -266,8 +266,8 @@ class Ledger:
 
     def _commit_locked(self) -> Block:
         pending, self._pending = self._pending, []
-        block = self._apply_block([tx for tx, _ in pending])
-        self._persist(block)
+        block, content = self._apply_block([tx for tx, _ in pending])
+        self._persist(block, content)
         for tx_index, ((_, receipt), applied) in enumerate(zip(pending, block.transactions)):
             receipt.status = applied.status
             receipt.error = applied.error
@@ -275,8 +275,12 @@ class Ledger:
             receipt.tx_index = tx_index
         return block
 
-    def _apply_block(self, txs: list[LedgerTransaction]) -> Block:
-        """Execute transactions and seal the resulting block. Deterministic."""
+    def _apply_block(self, txs: list[LedgerTransaction]) -> tuple[Block, bytes]:
+        """Execute transactions and seal the resulting block. Deterministic.
+
+        Returns the block and the canonical bytes of its content, which
+        its hash covers.
+        """
         height = timestamp = len(self._blocks)
         applied: list[AppliedTransaction] = []
         events: list[EventRecord] = []
@@ -293,8 +297,15 @@ class Ledger:
         self, tx: LedgerTransaction, timestamp: int
     ) -> tuple[str, str | None, list[tuple[str, dict]]]:
         # account creation is a ledger-level op reserved to the faucet sender;
-        # anything else is dispatched to the contract
+        # anything else is dispatched to the contract. Submission checks the
+        # sender and nonce, so only a forged file fails these checks
         is_create, account = _faucet_creation(tx)
+        if not (is_create or tx.sender in self._accounts):
+            raise ChainCorrupt(f"unknown sender {tx.sender} at height {timestamp}")
+        expected = self._nonces.get(tx.sender, 0) + 1
+        if type(tx.nonce) is not int or tx.nonce != expected:
+            raise ChainCorrupt(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}, "
+                               f"at height {timestamp}")
         if is_create:
             if account is None:
                 return STATUS_FAILED, "UnknownCall", []
@@ -308,18 +319,18 @@ class Ledger:
             return STATUS_FAILED, exc.name, []
         return STATUS_OK, None, emitted
 
-    def _seal(self, block: Block) -> Block:
-        block.block_hash = block.compute_hash()
+    def _seal(self, block: Block) -> tuple[Block, bytes]:
+        content = canonical_bytes(block.content_dict())
+        block.block_hash = digest(content)
         self._blocks.append(block)
         self._events.extend(block.events)
-        return block
+        return block, content
 
-    def _persist(self, block: Block) -> None:
+    def _persist(self, block: Block, content: bytes) -> None:
         if self._path is None:
             return
-        line = canonical_bytes(block.to_dict()) + b"\n"
         with self._path.open("ab") as fh:
-            fh.write(line)
+            fh.write(_block_line(block.block_hash, content) + b"\n")
 
     def _replay_file(self) -> None:
         assert self._path is not None
@@ -331,7 +342,7 @@ class Ledger:
                 stored = json.loads(raw)
                 txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
                        for t in stored["transactions"]] if height else []
-                block = self._apply_block(txs)
+                block, _ = self._apply_block(txs)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
             if block.to_dict() != stored:
@@ -357,11 +368,11 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
             return VerificationReport(False, height, height, "unparseable block")
         try:
             block = _block_from_dict(stored)
-            content = block.content_dict()  # built once for the hash and the line
-            block_hash = digest(canonical_bytes(content))
+            content = canonical_bytes(block.content_dict())
+            block_hash = digest(content)
             # the exact bytes the ledger writes for this block, so extra
             # or missing keys anywhere in the line show as a mismatch
-            encoded = canonical_bytes({**content, "block_hash": block.block_hash})
+            encoded = _block_line(block.block_hash, content)
         except (KeyError, TypeError, ValueError) as exc:
             return VerificationReport(False, height, height, f"malformed block: {exc!r}")
         if block.height != height:
@@ -376,6 +387,14 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
             return VerificationReport(False, height, height, "non-canonical block encoding")
         prev = block.block_hash
     return VerificationReport(True, len(lines))
+
+
+def _block_line(block_hash: object, content: bytes) -> bytes:
+    """A block's file line: its canonical form, spliced onto the content bytes.
+
+    "block_hash" sorts before every content key, so it comes first.
+    """
+    return b'{"block_hash":' + canonical_bytes(block_hash) + b"," + content[1:]
 
 
 def _faucet_creation(tx: LedgerTransaction) -> tuple[bool, str | None]:

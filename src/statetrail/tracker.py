@@ -62,6 +62,13 @@ _ENTRY_FIELDS = {
 EXPORT_FIELDS = ("kind", "instance_hash", "model_hash", "seq", "pre_state", "post_state",
                  "height", "tx_index", "emitter", "timestamp", "status")
 
+_KINDS = (KIND_CREATION, KIND_TRANSITION, KIND_TERMINATION)
+# export fields that hold either null or a value of exactly this type
+_NULLABLE_FIELD_TYPES = {
+    "instance_hash": str, "model_hash": str, "pre_state": str, "post_state": str,
+    "emitter": str, "height": int, "tx_index": int, "timestamp": int,
+}
+
 
 @dataclass
 class ProtocolEntry:
@@ -129,6 +136,12 @@ def import_protocol(data: bytes) -> InstanceProtocol:
         raise CorruptContent(f"not a protocol export: {exc!r}") from exc
     if not entries:
         raise CorruptContent("cannot import an empty protocol")
+    for entry in entries:
+        if (entry.kind not in _KINDS or type(entry.seq) is not int
+                or type(entry.status) is not str
+                or any(getattr(entry, name) is not None and type(getattr(entry, name)) is not t
+                       for name, t in _NULLABLE_FIELD_TYPES.items())):
+            raise CorruptContent(f"ill-typed protocol entry: {entry!r}")
     return InstanceProtocol(
         instance_hash=entries[0].instance_hash,
         model_hash=entries[0].model_hash,

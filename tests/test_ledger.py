@@ -278,6 +278,31 @@ class TestChainIntegrity:
             Ledger.open(path, EchoContract())
 
 
+    @pytest.mark.parametrize("block_hash, reason", [
+        (5, "block hash mismatch"),
+        ("A\u030a", "block hash mismatch"),
+        ("0x" + "e\u0301" * 32, "block hash mismatch"),
+        (None, "non-canonical block encoding"),
+    ], ids=["number", "nfd-string", "nfd-hex", "escaped-stored-hash"])
+    def test_ill_formed_block_hash_detected_at_height(self, tmp_path, block_hash, reason):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
+        for i in range(1, 5):
+            ledger.submit(tx(ALICE, i))
+        lines = path.read_bytes().splitlines()
+        if block_hash is None:  # the right hash, its first digit written as an escape
+            lines[4] = lines[4].replace(b'"block_hash":"0', b'"block_hash":"\\u0030')
+        else:  # written as is, without the canonical encoder's NFC step
+            block = json.loads(lines[4])
+            block["block_hash"] = block_hash
+            lines[4] = json.dumps(block, sort_keys=True, separators=(",", ":"),
+                                  ensure_ascii=False).encode("utf-8")
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 4
+        assert report.reason == reason
+
+
 class TestPersistence:
     def test_replay_reconstructs_identical_chain(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -325,6 +350,15 @@ class TestPersistence:
         with pytest.raises(ChainCorrupt):
             Ledger.open(path, EchoContract())
 
+    def test_replay_of_a_batch_that_creates_and_uses_an_account(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = Ledger(EchoContract(), path=path, batch_size=3)
+        ledger.create_account(ALICE)
+        ledger.submit(tx(ALICE, 1))
+        ledger.submit(tx(ALICE, 2))
+        assert ledger.height == 1
+        assert Ledger.open(path, EchoContract()).next_nonce(ALICE) == 3
+
     def test_observers_see_identical_event_bytes(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = echo_ledger(path=path)
@@ -366,9 +400,16 @@ class TestAdversarialFiles:
         (4, lambda b: b["transactions"][0].update(call={"op": "register_model", "args": {
             "model_hash": [], "descriptor": {"id": "m"}}})),
         (4, lambda b: b.update(timestamp=99)),
+        (4, lambda b: b["transactions"][0].update(sender="0x" + "d" * 40)),
+        (4, lambda b: b["transactions"][0].update(sender=FAUCET_ACCOUNT, nonce=4)),
+        (4, lambda b: b["transactions"][0].update(nonce=7)),
+        (4, lambda b: b["transactions"][0].update(nonce=True)),
+        (2, lambda b: b["transactions"][0].update(nonce=5)),
     ], ids=["faucet-string-args", "faucet-no-args", "number-call", "no-sender",
             "list-sender", "string-transactions", "number-transactions",
-            "object-transactions", "no-transactions", "list-hash", "timestamp"])
+            "object-transactions", "no-transactions", "list-hash", "timestamp",
+            "never-created-sender", "faucet-as-contract-sender", "nonce-gap", "bool-nonce",
+            "faucet-nonce-gap"])
     def test_resealed_forgery_is_chain_corrupt(self, tmp_path, height, edit):
         path = self.forged_chain(tmp_path)
         edit_block(path, height, edit, reseal=True)

@@ -346,6 +346,16 @@ class TestLinearVerification:
             assert set(indexed) == {STATUS_VERIFIED}
 
 
+def export_line(**fields) -> bytes:
+    """One well-typed transition entry as an export line, with `fields` changed."""
+    entry = {
+        "kind": "transition", "instance_hash": "0x" + "1" * 64, "model_hash": "0x" + "2" * 64,
+        "seq": 1, "pre_state": "0x" + "3" * 64, "post_state": "0x" + "4" * 64, "height": 5,
+        "tx_index": 0, "emitter": ALICE, "timestamp": 5, "status": "unverified",
+    }
+    return canonical_bytes({**entry, **fields}) + b"\n"
+
+
 class TestExport:
     def test_creation_only_protocol_is_one_line(self):
         _, _, _, state, tracker = tracked_world(steps=(), terminate=False)
@@ -375,11 +385,37 @@ class TestExport:
         b"5",
         b'{"kind": "creation"}',
         canonical_bytes(dict.fromkeys(EXPORT_FIELDS)) + b"\nnot json",
+        export_line(seq="1"),
+        export_line(seq=True),
+        export_line(seq=1.0),
+        export_line(seq=None),
+        export_line(kind="genesis"),
+        export_line(kind=None),
+        export_line(instance_hash=5),
+        export_line(model_hash=["0x" + "2" * 64]),
+        export_line(pre_state=5),
+        export_line(post_state={}),
+        export_line(emitter=1),
+        export_line(height="5"),
+        export_line(tx_index=False),
+        export_line(timestamp=5.0),
+        export_line(status=None),
+        export_line() + export_line(seq=[2]),
     ], ids=["empty", "blank-line", "not-json", "not-utf8", "no-fields", "list",
-            "number", "missing-fields", "bad-second-line"])
+            "number", "missing-fields", "bad-second-line", "string-seq", "bool-seq",
+            "float-seq", "null-seq", "unknown-kind", "null-kind", "number-instance-hash",
+            "list-model-hash", "number-pre-state", "object-post-state", "number-emitter",
+            "string-height", "bool-tx-index", "float-timestamp", "null-status",
+            "bad-second-entry"])
     def test_import_failure_is_corrupt_content(self, data):
         with pytest.raises(CorruptContent):
             import_protocol(data)
+
+    def test_import_accepts_well_typed_fields_and_nulls(self):
+        nulls = dict.fromkeys(["instance_hash", "model_hash", "pre_state", "post_state",
+                               "height", "tx_index", "emitter", "timestamp"])
+        protocol = import_protocol(export_line() + export_line(seq=2, **nulls))
+        assert [e.seq for e in protocol.entries] == [1, 2]
 
     def test_export_fields_are_exactly_the_contract(self):
         import json
