@@ -31,7 +31,7 @@ from .errors import (
     VerificationFailed,
     exit_code,
 )
-from .ledger import Ledger, verify_chain_file
+from .ledger import Ledger, checkpoint_path, verify_chain_file
 from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
 from .store import DirectoryContentStore
@@ -309,10 +309,16 @@ def chain():
 @chain.command("verify")
 @click.pass_obj
 def chain_verify(cfg: CliConfig):
-    """Recompute all block hashes and linkage; exit 0 only if intact."""
+    """Check every block's bytes, hash and link, then re-execute the chain.
+
+    The re-execution starts from genesis and ignores the checkpoint, then
+    rewrites the checkpoint from its own result. Exit 0 only if intact.
+    """
     if not cfg.ledger_path.exists():
         raise ChainCorrupt(f"no ledger file at {cfg.ledger_path}")
     report = verify_chain_file(cfg.ledger_path)
+    if report.ok:
+        Ledger.open(cfg.ledger_path, Registry(), trust_checkpoint=False)
     emit(report.to_dict())
     if not report.ok:
         raise ChainCorrupt(f"{report.reason} at height {report.first_bad_height}")
@@ -337,7 +343,7 @@ def demo_multiparty(parties, steps, demo_seed, workdir):
         target = Path(tempfile.mkdtemp(prefix="statetrail-demo-"))
     else:
         target = Path(workdir)
-        for stale in (target / LEDGER_FILE,):
+        for stale in (target / LEDGER_FILE, checkpoint_path(target / LEDGER_FILE)):
             if stale.exists():
                 stale.unlink()
         for stale_dir in (target / STORE_DIR, target / EXPORTS_DIR):

@@ -11,18 +11,42 @@ zero cursor (0, 0, 0) sorts strictly before every real event position.
 A block's timestamp is its height.
 
 Optional persistence appends one canonical-JSON block per line to a file.
-Opening the file re-executes every transaction and must reproduce every
-stored block; a line that is not a well-formed block, or that replays to
-a different block, raises ChainCorrupt at its height. `verify_chain_file`
-checks a file without executing it: each line must be exactly the
-canonical bytes of its block, with its height as timestamp and a correct
-hash and linkage.
+Opening the file re-executes its transactions, and every re-executed
+block must encode to exactly the stored line; a line that is not a
+well-formed block, or that replays to other bytes, raises ChainCorrupt at
+its height. `verify_chain_file` checks a file without executing it: each
+line must be exactly the canonical bytes of its block, with its height as
+timestamp and a correct hash and linkage.
+
+Checkpoint. For a contract with `snapshot()` and its inverse `restore()`
+(the registry), open keeps a checkpoint beside the file, at
+`<file>.checkpoint`: the canonical JSON object {"body": ..., "digest":
+digest(canonical_bytes(body))}. The body anchors a prefix of the file (the
+last block's height and hash, the start and end offsets of its line, and
+the sha256 of the bytes before that end) and holds the accounts, nonces
+and contract snapshot after that block. Open checks the self-digest, the
+prefix sha256 and the anchor line, restores that state and re-executes
+only the blocks after the anchor; the prefix blocks and events are parsed,
+not re-executed, on first use. If a check fails, open writes one JSON line
+on stderr naming the reason and re-executes the whole file. Any change to
+a byte of the prefix fails the prefix check, so open rejects every file
+that a full replay rejects. A checkpoint whose two digests match is
+trusted: `chain verify` re-executes from genesis, ignoring it, and
+rewrites it. After re-executing at least one block, open writes a new
+checkpoint (a temporary file, then `os.replace`); a failed write is
+ignored. A checkpoint is a pure function of the prefix it anchors, so a
+stale one that still passes the checks is still correct.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import hashlib
 import json
+import os
+import sys
+import tempfile
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
@@ -49,7 +73,25 @@ STATUS_FAILED = "failed"
 
 
 class Contract(Protocol):
+    """What a ledger executes transactions against.
+
+    A contract that also has `snapshot() -> dict` and its inverse
+    `restore(snapshot)`, which raises ValueError for ill-typed input, is
+    checkpointed.
+    """
+
     def apply(self, sender: str, call: dict, timestamp: int) -> list[tuple[str, dict]]: ...
+
+
+CHECKPOINT_SUFFIX = ".checkpoint"
+_CHECKPOINT_KEYS = frozenset({"accounts", "block_hash", "end", "height", "nonces",
+                              "prefix_sha256", "registry", "start"})
+_CHUNK = 1 << 20
+
+
+def checkpoint_path(path: str | Path) -> Path:
+    """Where the checkpoint of the ledger file at `path` is kept."""
+    return Path(str(path) + CHECKPOINT_SUFFIX)
 
 
 @dataclass(frozen=True)
@@ -174,38 +216,52 @@ class Ledger:
         *,
         path: str | Path | None = None,
         batch_size: int = 1,
+        trust_checkpoint: bool = True,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self._contract = contract
         self._path = Path(path) if path is not None else None
+        self._checkpoint = (checkpoint_path(self._path)
+                            if self._path is not None and hasattr(contract, "restore") else None)
         self._batch_size = batch_size
         self._lock = threading.Lock()
+        # blocks and events after the restored prefix, or all of them
         self._blocks: list[Block] = []
         self._events: list[EventRecord] = []
+        # (block count, end offset, sha256) of the prefix before a restored
+        # anchor, and which of "blocks" and "events" are still to parse from it
+        self._prefix: tuple[int, int, str] | None = None
+        self._unread: set[str] = set()
+        self._next_height = 0
+        self._head_hash = ZERO_HASH
         self._accounts: set[str] = set()
         self._nonces: dict[str, int] = {}
         self._accounts_submitted: set[str] = set()
         self._nonces_submitted: dict[str, int] = {}
         self._pending: list[tuple[LedgerTransaction, TxReceipt]] = []
         if self._path is not None and self._path.exists():
-            self._replay_file()
-        if not self._blocks:  # new, or a file emptied before genesis was written
+            self._replay_file(trust_checkpoint)
+        if not self._next_height:  # new, or a file emptied before genesis was written
             self._persist(*self._apply_block([]))
 
     @classmethod
-    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1) -> "Ledger":
-        return cls(contract, path=path, batch_size=batch_size)
+    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1,
+             trust_checkpoint: bool = True) -> "Ledger":
+        """Open a ledger file; with `trust_checkpoint=False`, re-execute all of it."""
+        return cls(contract, path=path, batch_size=batch_size,
+                   trust_checkpoint=trust_checkpoint)
 
     # ------------------------------------------------------------------ reads
 
     @property
     def blocks(self) -> list[Block]:
+        self._load_prefix("blocks")
         return self._blocks
 
     @property
     def height(self) -> int:
-        return self._blocks[-1].height
+        return self._next_height - 1
 
     def known_accounts(self) -> set[str]:
         return set(self._accounts)
@@ -216,6 +272,7 @@ class Ledger:
     def events_since(self, cursor: Cursor) -> list[EventRecord]:
         """All committed events strictly after the cursor, in total order."""
         cursor = tuple(cursor)  # type: ignore[assignment]
+        self._load_prefix("events")
         start = bisect.bisect_right(self._events, cursor, key=attrgetter("position"))
         if cursor != ZERO_CURSOR and (start == 0 or self._events[start - 1].position != cursor):
             raise InvalidCursor(f"cursor {cursor} is not a committed event position")
@@ -281,7 +338,7 @@ class Ledger:
         Returns the block and the canonical bytes of its content, which
         its hash covers.
         """
-        height = timestamp = len(self._blocks)
+        height = timestamp = self._next_height
         applied: list[AppliedTransaction] = []
         events: list[EventRecord] = []
         for tx_index, tx in enumerate(txs):
@@ -290,8 +347,7 @@ class Ledger:
             for event_index, (kind, payload) in enumerate(emitted):
                 events.append(EventRecord(kind, payload, height, tx_index, event_index, timestamp))
             self._nonces[tx.sender] = tx.nonce
-        prev = self._blocks[-1].block_hash if self._blocks else ZERO_HASH
-        return self._seal(Block(height, prev, applied, events, timestamp))
+        return self._seal(Block(height, self._head_hash, applied, events, timestamp))
 
     def _apply_tx(
         self, tx: LedgerTransaction, timestamp: int
@@ -321,7 +377,8 @@ class Ledger:
 
     def _seal(self, block: Block) -> tuple[Block, bytes]:
         content = canonical_bytes(block.content_dict())
-        block.block_hash = digest(content)
+        block.block_hash = self._head_hash = digest(content)
+        self._next_height += 1
         self._blocks.append(block)
         self._events.extend(block.events)
         return block, content
@@ -332,24 +389,160 @@ class Ledger:
         with self._path.open("ab") as fh:
             fh.write(_block_line(block.block_hash, content) + b"\n")
 
-    def _replay_file(self) -> None:
+    def _replay_file(self, trust_checkpoint: bool) -> None:
+        """Re-execute the file after the checkpoint's anchor, or all of it."""
         assert self._path is not None
-        for height, raw in enumerate(self._path.read_bytes().splitlines()):
-            # genesis carries no transactions, whatever its line claims. Applying
-            # a forged block can fail too: a sender that is not a string, or a
-            # value with no canonical encoding (NaN, a lone surrogate)
-            try:
-                stored = json.loads(raw)
-                txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
-                       for t in stored["transactions"]] if height else []
-                block, _ = self._apply_block(txs)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
-            if block.to_dict() != stored:
-                raise ChainCorrupt(f"replay diverged from stored block at height {height}")
+        with self._path.open("rb") as fh:
+            sha = None
+            if trust_checkpoint and self._checkpoint is not None:
+                sha = self._restore_checkpoint(fh)
+            if sha is None:
+                fh.seek(0)
+                sha = hashlib.sha256()
+            anchor = None
+            for start, end, raw in _read_lines(fh, sha):
+                height = self._next_height
+                # genesis carries no transactions, whatever its line claims. Applying
+                # a forged block can fail too: a sender that is not a string, a value
+                # with no canonical encoding (NaN, a lone surrogate), or one nested
+                # deeper than the interpreter's recursion limit
+                try:
+                    stored = json.loads(raw)
+                    txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
+                           for t in stored["transactions"]] if height else []
+                    block, content = self._apply_block(txs)
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                    raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
+                if _block_line(block.block_hash, content) != raw:
+                    raise ChainCorrupt(f"replay diverged from stored block at height {height}")
+                # an anchor line must end in a newline, or the next append would join it
+                anchor = (start, end) if end - start > len(raw) else None
         # resync submission-time views with the committed state
         self._accounts_submitted = set(self._accounts)
         self._nonces_submitted = dict(self._nonces)
+        if anchor is not None and self._checkpoint is not None:
+            self._write_checkpoint(*anchor, sha.hexdigest())
+
+    def _restore_checkpoint(self, fh) -> "hashlib._Hash | None":
+        """Restore the state at the checkpoint's anchor and leave `fh` after it.
+
+        Returns the sha256 of the prefix, to be continued over the tail.
+        Returns None, with the state untouched, when there is no
+        checkpoint or when it fails a check; the latter is reported as one
+        JSON line on stderr.
+        """
+        assert self._checkpoint is not None
+        try:
+            data = self._checkpoint.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            return self._fall_back(f"unreadable checkpoint: {exc.strerror}")
+        # the canonical form: "body" sorts before "digest"
+        body_bytes, _, stored_digest = data.rpartition(b',"digest":')
+        body_bytes = body_bytes.removeprefix(b'{"body":')
+        if stored_digest != canonical_bytes(digest(body_bytes)) + b"}":
+            return self._fall_back("checkpoint digest mismatch")
+        try:
+            body = json.loads(body_bytes)
+        except (ValueError, RecursionError):
+            return self._fall_back("checkpoint body is not JSON")
+        if not _well_typed(body):
+            return self._fall_back("ill-typed checkpoint body")
+        height, start, end = body["height"], body["start"], body["end"]
+        sha, remaining = hashlib.sha256(), end
+        while remaining:
+            chunk = fh.read(min(remaining, _CHUNK))
+            if not chunk:
+                return self._fall_back("anchor past the end of the ledger file")
+            sha.update(chunk)
+            remaining -= len(chunk)
+        if sha.hexdigest() != body["prefix_sha256"]:
+            return self._fall_back("ledger prefix digest mismatch")
+        fh.seek(start)
+        line = fh.read(end - start)
+        try:
+            anchor = json.loads(line)
+        except (ValueError, RecursionError):
+            anchor = None
+        if not (line.count(b"\n") == 1 and line.endswith(b"\n")
+                and isinstance(anchor, dict) and anchor.get("height") == height
+                and anchor.get("block_hash") == body["block_hash"]):
+            return self._fall_back("anchor line mismatch")
+        try:
+            self._contract.restore(body["registry"])  # type: ignore[attr-defined]
+        except ValueError as exc:
+            return self._fall_back(f"ill-typed registry snapshot: {exc}")
+        self._accounts, self._nonces = set(body["accounts"]), dict(body["nonces"])
+        self._next_height, self._head_hash = height + 1, body["block_hash"]
+        self._prefix = (height + 1, end, body["prefix_sha256"])
+        self._unread = {"blocks", "events"}
+        return sha
+
+    def _fall_back(self, reason: str) -> None:
+        line = {"checkpoint": str(self._checkpoint), "fallback": "full replay", "reason": reason}
+        sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
+
+    def _write_checkpoint(self, start: int, end: int, prefix_sha: str) -> None:
+        assert self._checkpoint is not None
+        body_bytes = canonical_bytes({
+            "accounts": sorted(self._accounts),
+            "block_hash": self._head_hash,
+            "end": end,
+            "height": self._next_height - 1,
+            "nonces": self._nonces,
+            "prefix_sha256": prefix_sha,
+            "registry": self._contract.snapshot(),  # type: ignore[attr-defined]
+            "start": start,
+        })
+        data = (b'{"body":' + body_bytes + b',"digest":' + canonical_bytes(digest(body_bytes))
+                + b"}")
+        # the checkpoint only saves work, so a failed write must not fail the caller
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self._checkpoint.parent,
+                                       prefix=self._checkpoint.name + ".")
+        except OSError:
+            return
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fd, os.stat(self._path).st_mode & 0o666)  # readable as the ledger is
+                fh.write(data)
+            os.replace(tmp, self._checkpoint)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+    def _load_prefix(self, part: str) -> None:
+        """Parse the prefix's blocks, or only its events; they are not re-executed.
+
+        Events alone leave out every transaction, which a tracker never reads.
+        """
+        if part not in self._unread:
+            return
+        with self._lock:
+            if part not in self._unread:
+                return
+            assert self._path is not None and self._prefix is not None
+            count, end, prefix_sha = self._prefix
+            parse = _block_from_dict if part == "blocks" else _events_from_dict
+            sha, parsed = hashlib.sha256(), []
+            with self._path.open("rb") as fh:
+                for _, line_end, raw in _read_lines(fh, sha):
+                    try:
+                        parsed.append(parse(json.loads(raw)))
+                    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                        raise ChainCorrupt(
+                            f"malformed block at height {len(parsed)}: {exc!r}") from exc
+                    if line_end >= end:
+                        break
+            if len(parsed) != count or sha.hexdigest() != prefix_sha:
+                raise ChainCorrupt("the ledger file changed before its anchored prefix was read")
+            if part == "blocks":
+                self._blocks[:0] = parsed
+                parsed = [b.events for b in parsed]
+            if "events" in self._unread:
+                self._events[:0] = [e for events in parsed for e in events]
+            self._unread -= {part, "events"}
 
 
 def verify_chain_file(path: str | Path) -> VerificationReport:
@@ -359,34 +552,64 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
     timestamp out of sequence, block hash mismatches, and broken prev-hash
     linkage, reported at the first failing height.
     """
-    lines = Path(path).read_bytes().splitlines()
-    prev = ZERO_HASH
-    for height, raw in enumerate(lines):
-        try:
-            stored = json.loads(raw)
-        except ValueError:  # not JSON, or not UTF-8
-            return VerificationReport(False, height, height, "unparseable block")
-        try:
-            block = _block_from_dict(stored)
-            content = canonical_bytes(block.content_dict())
-            block_hash = digest(content)
-            # the exact bytes the ledger writes for this block, so extra
-            # or missing keys anywhere in the line show as a mismatch
-            encoded = _block_line(block.block_hash, content)
-        except (KeyError, TypeError, ValueError) as exc:
-            return VerificationReport(False, height, height, f"malformed block: {exc!r}")
-        if block.height != height:
-            return VerificationReport(False, height, height, "height out of sequence")
-        if block.timestamp != height:
-            return VerificationReport(False, height, height, "timestamp is not the height")
-        if block.prev_hash != prev:
-            return VerificationReport(False, height, height, "broken linkage to previous block")
-        if block_hash != block.block_hash:
-            return VerificationReport(False, height, height, "block hash mismatch")
-        if encoded != raw:
-            return VerificationReport(False, height, height, "non-canonical block encoding")
-        prev = block.block_hash
-    return VerificationReport(True, len(lines))
+    with Path(path).open("rb") as fh:
+        prev, checked = ZERO_HASH, 0
+        for height, (_, _, raw) in enumerate(_read_lines(fh)):
+            try:
+                stored = json.loads(raw)
+            except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
+                return VerificationReport(False, height, height, "unparseable block")
+            try:
+                block = _block_from_dict(stored)
+                content = canonical_bytes(block.content_dict())
+                block_hash = digest(content)
+                # the exact bytes the ledger writes for this block, so extra
+                # or missing keys anywhere in the line show as a mismatch
+                encoded = _block_line(block.block_hash, content)
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                return VerificationReport(False, height, height, f"malformed block: {exc!r}")
+            if block.height != height:
+                return VerificationReport(False, height, height, "height out of sequence")
+            if block.timestamp != height:
+                return VerificationReport(False, height, height, "timestamp is not the height")
+            if block.prev_hash != prev:
+                return VerificationReport(False, height, height,
+                                          "broken linkage to previous block")
+            if block_hash != block.block_hash:
+                return VerificationReport(False, height, height, "block hash mismatch")
+            if encoded != raw:
+                return VerificationReport(False, height, height, "non-canonical block encoding")
+            prev = block.block_hash
+            checked = height + 1
+    return VerificationReport(True, checked)
+
+
+def _read_lines(fh, sha=None):
+    """The lines of a ledger file from `fh`'s position on, without their newline.
+
+    Yields (start offset, end offset, bytes) and holds one line at a time.
+    Only a newline ends a line. Every byte read is fed to `sha`, if given.
+    """
+    end = fh.tell()
+    for line in fh:
+        if sha is not None:
+            sha.update(line)
+        start, end = end, end + len(line)
+        yield start, end, line[:-1] if line.endswith(b"\n") else line
+
+
+def _well_typed(body: object) -> bool:
+    """Whether a checkpoint body has its keys, with the types open relies on."""
+    if not isinstance(body, dict) or body.keys() != _CHECKPOINT_KEYS:
+        return False
+    height, start, end = body["height"], body["start"], body["end"]
+    return (all(type(v) is int for v in (height, start, end)) and 0 <= height
+            and 0 <= start < end
+            and all(isinstance(body[k], str) for k in ("block_hash", "prefix_sha256"))
+            and isinstance(body["accounts"], list)
+            and all(isinstance(a, str) for a in body["accounts"])
+            and isinstance(body["nonces"], dict)
+            and all(type(n) is int for n in body["nonces"].values()))
 
 
 def _block_line(block_hash: object, content: bytes) -> bytes:
@@ -413,9 +636,13 @@ def _block_from_dict(d: dict) -> Block:
         AppliedTransaction(t["sender"], t["call"], t["nonce"], t["status"], t["error"])
         for t in d["transactions"]
     ]
-    events = [
+    return Block(d["height"], d["prev_hash"], txs, _events_from_dict(d), d["timestamp"],
+                 d["block_hash"])
+
+
+def _events_from_dict(d: dict) -> list[EventRecord]:
+    return [
         EventRecord(e["kind"], e["payload"], e["height"], e["tx_index"], e["event_index"],
                     d["timestamp"])
         for e in d["events"]
     ]
-    return Block(d["height"], d["prev_hash"], txs, events, d["timestamp"], d["block_hash"])

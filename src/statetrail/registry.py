@@ -34,6 +34,8 @@ from .hashing import canonical_bytes, is_account_id, is_content_hash
 _HASH_ARGS = frozenset({"model_hash", "instance_hash", "initial_state_hash", "pre_state",
                         "post_state", "subject_hash"})
 
+_TRANSITION_KEYS = frozenset({"post_state", "pre_state", "seq"})
+
 EVENT_INSTANCE_CREATED = "InstanceCreated"
 EVENT_TRANSITION = "TransitionEvent"
 EVENT_INSTANCE_TERMINATED = "InstanceTerminated"
@@ -330,6 +332,46 @@ class Registry:
     def snapshot_bytes(self) -> bytes:
         return canonical_bytes(self.snapshot())
 
+    def restore(self, snapshot: dict) -> None:
+        """Replace the whole state with the one a `snapshot()` describes.
+
+        Raises ValueError for ill-typed input and then leaves the state
+        as it was.
+        """
+        delegates, instances, models, transitions = _fields(
+            snapshot, "delegates", "instances", "models", "transitions")
+        restored_models = {}
+        for h, raw in _entries(models):
+            descriptor, owner = _fields(raw, "descriptor", "owner")
+            restored_models[h] = ModelRecord(h, _text(owner), _descriptor(descriptor))
+        restored_instances = {}
+        for h, raw in _entries(instances):
+            descriptor, latest, model, owner, status, count = _fields(
+                raw, "descriptor", "latest_state", "model_hash", "owner", "status",
+                "transition_count")
+            restored_instances[h] = InstanceRecord(
+                h, _text(model), _text(owner), _descriptor(descriptor),
+                InstanceStatus(status), _text(latest), _count(count))
+        restored_transitions = {}
+        for h, records in _entries(transitions):
+            # the one part that grows with the chain, so checked in one pass
+            if not (isinstance(records, list) and all(
+                    type(r) is dict and r.keys() == _TRANSITION_KEYS
+                    and type(r["pre_state"]) is str and type(r["post_state"]) is str
+                    and type(r["seq"]) is int for r in records)):
+                raise ValueError(f"ill-typed transitions of {h}")
+            restored_transitions[h] = [
+                TransitionRecord(h, r["pre_state"], r["post_state"], r["seq"]) for r in records]
+        if restored_transitions.keys() != restored_instances.keys():
+            raise ValueError("transitions are not keyed by the registered instances")
+        restored_delegates = {}
+        for h, accounts in _entries(delegates):
+            if not isinstance(accounts, list):
+                raise ValueError(f"delegates of {h} are not a list")
+            restored_delegates[h] = {_text(a) for a in accounts}
+        self._models, self._instances = restored_models, restored_instances
+        self._transitions, self._delegates = restored_transitions, restored_delegates
+
     # -------------------------------------------------------------- internals
 
     def _active_instance(self, caller: str, instance_hash: str) -> InstanceRecord:
@@ -345,3 +387,39 @@ class Registry:
         if caller == owner or caller in self._delegates.get(subject_hash, set()):
             return
         raise NotAuthorized(f"{caller} is neither owner nor delegate of {subject_hash}")
+
+
+# ------------------------------------------------------- snapshot decoding
+
+def _fields(raw: object, *names: str) -> list:
+    """The values of an object that has exactly these keys, in this order."""
+    if not isinstance(raw, dict) or raw.keys() != set(names):
+        raise ValueError(f"expected an object with the keys {', '.join(names)}")
+    return [raw[name] for name in names]
+
+
+def _entries(raw: object) -> list:
+    if not isinstance(raw, dict):
+        raise ValueError("expected an object")
+    return list(raw.items())
+
+
+def _text(value: object) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, not {value!r}")
+    return value
+
+
+def _count(value: object) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, not {value!r}")
+    return value
+
+
+def _descriptor(raw: object) -> Descriptor:
+    created_at, extra, did, name = _fields(raw, "created_at", "extra", "id", "name")
+    if not (isinstance(extra, dict) and all(isinstance(v, str) for v in extra.values())):
+        raise ValueError("descriptor extra must map strings to strings")
+    if created_at is not None:
+        _count(created_at)
+    return Descriptor(_text(did), _text(name), dict(extra), created_at)

@@ -55,13 +55,13 @@ class DirectoryContentStore:
         return key
 
     def has(self, key: str) -> bool:
-        return is_content_hash(key) and self._path(key).exists()
+        return is_content_hash(key) and self._path(key).is_file()
 
     def get(self, key: str) -> bytes:
-        path = self._path(key)
-        if not path.exists():
-            raise MissingContent(f"no content stored for {key}")
-        content = path.read_bytes()
+        try:
+            content = self._path(key).read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            raise MissingContent(f"no content stored for {key}") from None
         if digest(content) != key:
             raise CorruptContent(f"stored content does not hash to {key}")
         return content

@@ -169,6 +169,14 @@ class TestFireAndRegister:
         record = world.registry.get_instance(state.instance_hash)
         assert record.transition_count == 3
 
+    def test_returned_record_is_the_registry_last_transition(self, world, descriptor):
+        model = cycle_model()
+        engine = registered(world, model)
+        state = engine.instantiate(model, descriptor, 1)
+        for tid in ("ab", "bc", "ca", "ab"):
+            state, record = engine.fire_and_register(state, model, tid)
+            assert record == world.registry.get_transitions(state.instance_hash)[-1]
+
     def test_stale_chain_leaves_local_state_unadvanced(self, world, descriptor):
         model = cycle_model()
         owner = registered(world, model)

@@ -439,6 +439,49 @@ class TestAdversarialFiles:
         report = verify_chain_file(path)
         assert not report.ok and report.first_bad_height == 2
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda line: json.dumps(json.loads(line), sort_keys=True, indent=1)
+        .replace("\n", " ").encode(),
+        lambda line: line.replace(b'"timestamp":1,', b'"timestamp":1.0,'),
+    ], ids=["indent-1", "float-for-integer"])
+    def test_same_block_in_other_bytes_is_chain_corrupt(self, tmp_path, rewrite):
+        # the stored hash is left as it was: the block's values are unchanged
+        path = self.forged_chain(tmp_path)
+        lines = path.read_bytes().splitlines()
+        lines[1] = rewrite(lines[1])
+        assert json.loads(lines[1]) == json.loads(canonical_bytes(json.loads(lines[1])))
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ChainCorrupt, match="at height 1$"):
+            Ledger.open(path, Registry())
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 1
+
+    @pytest.mark.parametrize("old, new", [
+        (b',"height"', b',\r"height"'),
+        (b'"register_model"', b'"register\r_model"'),
+    ], ids=["between-tokens", "inside-a-string"])
+    def test_bare_carriage_return_fails_at_one_height(self, tmp_path, old, new):
+        # only a newline ends a line, in replay and in the structural check
+        path = self.forged_chain(tmp_path)
+        lines = path.read_bytes().splitlines()
+        assert old in lines[4]
+        lines[4] = lines[4].replace(old, new, 1)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ChainCorrupt, match="at height 4"):
+            Ledger.open(path, Registry())
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 4
+
+    def test_line_nested_too_deep_is_chain_corrupt(self, tmp_path):
+        path = self.forged_chain(tmp_path)
+        lines = path.read_bytes().splitlines()
+        lines[2] = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ChainCorrupt, match="at height 2"):
+            Ledger.open(path, Registry())
+        report = verify_chain_file(path)
+        assert not report.ok and report.first_bad_height == 2
+
     def test_empty_file_gets_a_genesis_block(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.touch()

@@ -343,3 +343,59 @@ class TestInvariants:
         replay_registry = Registry()
         Ledger.open(path, replay_registry)
         assert replay_registry.snapshot_bytes() == world.registry.snapshot_bytes()
+
+
+class TestRestore:
+    @staticmethod
+    def busy_registry() -> Registry:
+        registry = fresh_registry_with_model()
+        registry.register_instance(ALICE, H_INSTANCE, H_MODEL,
+                                   Descriptor("i", "run", {"k": "v"}), h("s0"), timestamp=3)
+        registry.delegate_access(ALICE, H_INSTANCE, BOB)
+        registry.delegate_access(ALICE, H_MODEL, CARA)
+        registry.register_transition(BOB, H_INSTANCE, h("s0"), h("s1"))
+        registry.register_instance(ALICE, h("other"), H_MODEL, Descriptor("o", "o"), h("o0"))
+        registry.terminate_instance(ALICE, h("other"))
+        return registry
+
+    def test_round_trip(self):
+        registry = self.busy_registry()
+        restored = Registry()
+        restored.restore(registry.snapshot())
+        assert restored.snapshot_bytes() == registry.snapshot_bytes()
+        assert restored.get_transitions(H_INSTANCE) == registry.get_transitions(H_INSTANCE)
+        # the restored registry keeps enforcing the same rules
+        restored.register_transition(BOB, H_INSTANCE, h("s1"), h("s2"))
+        with pytest.raises(InstanceTerminated):
+            restored.register_transition(ALICE, h("other"), h("o0"), h("o1"))
+        with pytest.raises(NotAuthorized):
+            restored.register_transition(CARA, H_INSTANCE, h("s2"), h("s3"))
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s.pop("models"),
+        lambda s: s.update(extra={}),
+        lambda s: s.update(instances=[]),
+        lambda s: s["models"][H_MODEL].update(owner=5),
+        lambda s: s["models"][H_MODEL]["descriptor"].update(created_at="0"),
+        lambda s: s["models"][H_MODEL]["descriptor"].update(extra={"k": 1}),
+        lambda s: s["models"][H_MODEL]["descriptor"].pop("name"),
+        lambda s: s["instances"][H_INSTANCE].update(status="paused"),
+        lambda s: s["instances"][H_INSTANCE].update(transition_count=True),
+        lambda s: s["instances"][H_INSTANCE].update(transition_count=-1),
+        lambda s: s["instances"][H_INSTANCE].update(latest_state=None),
+        lambda s: s["transitions"].pop(H_INSTANCE),
+        lambda s: s["transitions"].update(extra=[]),
+        lambda s: s["transitions"][H_INSTANCE].append({"seq": 2}),
+        lambda s: s["transitions"].update({H_INSTANCE: {}}),
+        lambda s: s["delegates"].update({H_MODEL: CARA}),
+        lambda s: s["delegates"].update({H_MODEL: [5]}),
+    ])
+    def test_ill_typed_snapshot_is_rejected_and_changes_nothing(self, edit):
+        registry = self.busy_registry()
+        before = registry.snapshot_bytes()
+        snapshot = registry.snapshot()
+        edit(snapshot)
+        target = self.busy_registry()
+        with pytest.raises(ValueError):
+            target.restore(snapshot)
+        assert target.snapshot_bytes() == before

@@ -70,6 +70,14 @@ class TestContentStores:
         with pytest.raises(CorruptContent):
             store.get(key)
 
+    def test_directory_at_key_path_is_missing(self, tmp_path):
+        store = DirectoryContentStore(tmp_path / "store")
+        key = digest(b"never stored")
+        (tmp_path / "store" / key).mkdir()
+        assert not store.has(key)
+        with pytest.raises(MissingContent):
+            store.get(key)
+
     def test_disk_tamper_detected_on_read(self, tmp_path):
         store = DirectoryContentStore(tmp_path / "store")
         key = store.put(b"precious bytes")
