@@ -311,14 +311,16 @@ def chain():
 def chain_verify(cfg: CliConfig):
     """Check every block's bytes, hash and link, then re-execute the chain.
 
-    The re-execution starts from genesis and ignores the checkpoint, then
-    rewrites the checkpoint from its own result. Exit 0 only if intact.
+    The checkpoint is deleted first, so the re-execution starts from
+    genesis and a successful one writes a fresh checkpoint. Exit 0 only
+    if intact.
     """
     if not cfg.ledger_path.exists():
         raise ChainCorrupt(f"no ledger file at {cfg.ledger_path}")
     report = verify_chain_file(cfg.ledger_path)
-    if report.ok:
-        Ledger.open(cfg.ledger_path, Registry(), trust_checkpoint=False)
+    if report.ok and report.blocks_checked:
+        checkpoint_path(cfg.ledger_path).unlink(missing_ok=True)
+        Ledger.open(cfg.ledger_path, Registry())
     emit(report.to_dict())
     if not report.ok:
         raise ChainCorrupt(f"{report.reason} at height {report.first_bad_height}")

@@ -179,8 +179,8 @@ class Engine:
             self.store.put(state_content(state))
         post_hash = self.store.put(state_content(post))
         self.submit_call(call_register_transition(state.instance_hash, pre_hash, post_hash))
-        seq = self.registry.get_instance(state.instance_hash).transition_count
-        return post, TransitionRecord(state.instance_hash, pre_hash, post_hash, seq)
+        record = self.registry.get_transitions(state.instance_hash)[-1]
+        return post, record
 
     def terminate(self, instance_hash: str) -> None:
         self.submit_call(call_terminate_instance(instance_hash))

@@ -31,9 +31,9 @@ not re-executed, on first use. If a check fails, open writes one JSON line
 on stderr naming the reason and re-executes the whole file. Any change to
 a byte of the prefix fails the prefix check, so open rejects every file
 that a full replay rejects. A checkpoint whose two digests match is
-trusted: `chain verify` re-executes from genesis, ignoring it, and
-rewrites it. After re-executing at least one block, open writes a new
-checkpoint (a temporary file, then `os.replace`); a failed write is
+trusted: `chain verify` deletes it and re-executes from genesis, which
+writes a fresh one. After re-executing at least one block, open writes a
+new checkpoint (a temporary file, then `os.replace`); a failed write is
 ignored. A checkpoint is a pure function of the prefix it anchors, so a
 stale one that still passes the checks is still correct.
 """
@@ -216,7 +216,6 @@ class Ledger:
         *,
         path: str | Path | None = None,
         batch_size: int = 1,
-        trust_checkpoint: bool = True,
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -241,16 +240,13 @@ class Ledger:
         self._nonces_submitted: dict[str, int] = {}
         self._pending: list[tuple[LedgerTransaction, TxReceipt]] = []
         if self._path is not None and self._path.exists():
-            self._replay_file(trust_checkpoint)
+            self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written
             self._persist(*self._apply_block([]))
 
     @classmethod
-    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1,
-             trust_checkpoint: bool = True) -> "Ledger":
-        """Open a ledger file; with `trust_checkpoint=False`, re-execute all of it."""
-        return cls(contract, path=path, batch_size=batch_size,
-                   trust_checkpoint=trust_checkpoint)
+    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1) -> "Ledger":
+        return cls(contract, path=path, batch_size=batch_size)
 
     # ------------------------------------------------------------------ reads
 
@@ -389,12 +385,12 @@ class Ledger:
         with self._path.open("ab") as fh:
             fh.write(_block_line(block.block_hash, content) + b"\n")
 
-    def _replay_file(self, trust_checkpoint: bool) -> None:
+    def _replay_file(self) -> None:
         """Re-execute the file after the checkpoint's anchor, or all of it."""
         assert self._path is not None
         with self._path.open("rb") as fh:
             sha = None
-            if trust_checkpoint and self._checkpoint is not None:
+            if self._checkpoint is not None:
                 sha = self._restore_checkpoint(fh)
             if sha is None:
                 fh.seek(0)

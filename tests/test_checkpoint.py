@@ -144,7 +144,9 @@ class TestRestore:
         path = chain(tmp_path)
         Ledger.open(path, Registry())
         ledger = Ledger.open(path, Registry())
-        replayed = Ledger.open(path, Registry(), trust_checkpoint=False)
+        checkpoint_path(path).unlink()
+        replayed = Ledger.open(path, Registry())
+        assert ledger._prefix is not None and replayed._prefix is None
         assert ledger.blocks == replayed.blocks
         assert ledger.events_since(ZERO_CURSOR) == replayed.events_since(ZERO_CURSOR)
         assert ledger.events_since(ZERO_CURSOR) == [e for b in ledger.blocks for e in b.events]
@@ -335,6 +337,19 @@ class TestTrustBoundary:
         assert result.exit_code == 24
         assert json.loads(result.output)["error"] == "ChainCorrupt"
         assert "nonce 9" in json.loads(result.output)["detail"]
+        # the forged checkpoint is gone, so the forgery stays rejected
+        assert not checkpoint_path(path).exists()
+        with pytest.raises(ChainCorrupt, match="nonce 9"):
+            Ledger.open(path, Registry())
+
+    def test_chain_verify_on_an_empty_file_writes_nothing(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_bytes(b"")
+        result = CliRunner().invoke(cli, ["--dir", str(tmp_path), "chain", "verify"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["blocks_checked"] == 0
+        assert path.read_bytes() == b""
+        assert not checkpoint_path(path).exists()
 
 
 class LedgerMachine(RuleBasedStateMachine):
