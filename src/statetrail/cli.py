@@ -10,6 +10,7 @@ else maps a stable error name (see errors.EXIT_CODES).
 
 from __future__ import annotations
 
+import itertools
 import json
 import secrets
 import shutil
@@ -17,6 +18,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import click
 
@@ -47,8 +49,15 @@ class CliConfig:
     account: str | None
 
 
-def emit(obj: dict) -> None:
-    click.echo(json.dumps(obj, sort_keys=True))
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def emit(*objs: dict, first: Iterable[dict] = ()) -> None:
+    """Write one JSON line per object, those of `first` before, to stdout in one write."""
+    out = bytearray()
+    for obj in itertools.chain(first, objs):
+        out += _ENCODE(obj).encode() + b"\n"
+    click.echo(out, nl=False)
 
 
 class TrailGroup(click.Group):
@@ -241,9 +250,8 @@ def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):
     """Random walk: fire seeded random enabled transitions, then terminate."""
     engine, state, machine = _instance(cfg, instance_hash)
     trace = engine.random_walk(machine, state, steps, walk_seed)
-    for step in trace.steps:
-        emit({"post_state": step.post_hash, "transition": step.transition_id})
-    emit({"fired": len(trace.steps), "instance_hash": instance_hash, "terminated": True})
+    emit({"fired": len(trace.steps), "instance_hash": instance_hash, "terminated": True},
+         first=({"post_state": s.post_hash, "transition": s.transition_id} for s in trace.steps))
 
 
 @instance.command("terminate")
@@ -264,8 +272,7 @@ def track(cfg: CliConfig):
     """Follow ledger events and print protocol entries as they apply."""
     ledger, registry, store = _services(cfg)
     tracker = Tracker(ledger, registry, store)
-    for entry in tracker.catch_up():
-        emit(entry.to_dict())
+    emit(first=(entry.to_dict() for entry in tracker.catch_up()))
 
 
 @cli.group()
@@ -290,10 +297,10 @@ def protocol_verify(cfg: CliConfig, instance_hash):
     """Verify every protocol entry; exit 0 only if all entries verify."""
     tracker = _protocol(cfg, instance_hash)
     statuses = tracker.verify_protocol(instance_hash)
-    for entry in tracker.protocols[instance_hash].entries:
-        emit({"kind": entry.kind, "seq": entry.seq, "status": entry.status})
     ok = all(s == STATUS_VERIFIED for s in statuses)
-    emit({"entries": len(statuses), "instance_hash": instance_hash, "verified": ok})
+    emit({"entries": len(statuses), "instance_hash": instance_hash, "verified": ok},
+         first=({"kind": e.kind, "seq": e.seq, "status": e.status}
+                for e in tracker.protocols[instance_hash].entries))
     if not ok:
         bad = sum(1 for s in statuses if s != STATUS_VERIFIED)
         raise VerificationFailed(f"{bad} of {len(statuses)} entries did not verify")

@@ -72,17 +72,17 @@ def state_hash(state: InstanceState) -> str:
 
 
 def parse_state_content(data: bytes) -> InstanceState:
+    """The state a document holds; no field is coerced to its type."""
     try:
         raw = json.loads(data.decode("utf-8"))
-        return InstanceState(
-            instance_hash=raw["instance_hash"],
-            current_state=raw["current_state"],
-            variables=MappingProxyType({k: int(v) for k, v in raw["variables"].items()}),
-            step=int(raw["step"]),
-        )
-    except (UnicodeDecodeError, json.JSONDecodeError, AttributeError, KeyError, TypeError,
-            ValueError) as exc:
+        instance_hash, current_state = raw["instance_hash"], raw["current_state"]
+        variables, step = raw["variables"], raw["step"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptContent(f"not an instance state document: {exc}") from exc
+    if not (type(instance_hash) is str and type(current_state) is str and type(step) is int
+            and type(variables) is dict and all(type(v) is int for v in variables.values())):
+        raise CorruptContent("not an instance state document: ill-typed field")
+    return InstanceState(instance_hash, current_state, MappingProxyType(variables), step)
 
 
 def creation_record(model_hash_value: str, owner: str, descriptor: Descriptor,
@@ -102,7 +102,7 @@ def parse_creation_record(data: bytes) -> dict:
         raw = json.loads(data.decode("utf-8"))
         raw["model_hash"], raw["owner"], raw["nonce"]
         return raw
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptContent(f"not an instance creation record: {exc}") from exc
 
 

@@ -27,15 +27,18 @@ the sha256 of the bytes before that end) and holds the accounts, nonces
 and contract snapshot after that block. Open checks the self-digest, the
 prefix sha256 and the anchor line, restores that state and re-executes
 only the blocks after the anchor; the prefix blocks and events are parsed,
-not re-executed, on first use. If a check fails, open writes one JSON line
-on stderr naming the reason and re-executes the whole file. Any change to
-a byte of the prefix fails the prefix check, so open rejects every file
-that a full replay rejects. A checkpoint whose two digests match is
-trusted: `chain verify` deletes it and re-executes from genesis, which
-writes a fresh one. After re-executing at least one block, open writes a
-new checkpoint (a temporary file, then `os.replace`); a failed write is
-ignored. A checkpoint is a pure function of the prefix it anchors, so a
-stale one that still passes the checks is still correct.
+not re-executed, on first use. Events alone are decoded from where
+`_block_line` puts them, each timed at its line's height: the prefix
+sha256 proves the lines are those a full replay matched byte for byte, and
+a line laid out otherwise is ChainCorrupt. If a check fails, open writes
+one JSON line on stderr naming the reason and re-executes the whole file.
+Any change to a byte of the prefix fails the prefix check, so open rejects
+every file that a full replay rejects. A checkpoint whose two digests
+match is trusted: `chain verify` deletes it and re-executes from genesis,
+which writes a fresh one. After re-executing at least one block, open
+writes a new checkpoint (a temporary file, then `os.replace`); a failed
+write is ignored. A checkpoint is a pure function of the prefix it
+anchors, so a stale one that still passes the checks is still correct.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import contextlib
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -520,13 +524,13 @@ class Ledger:
                 return
             assert self._path is not None and self._prefix is not None
             count, end, prefix_sha = self._prefix
-            parse = _block_from_dict if part == "blocks" else _events_from_dict
             sha, parsed = hashlib.sha256(), []
             with self._path.open("rb") as fh:
                 for _, line_end, raw in _read_lines(fh, sha):
                     try:
-                        parsed.append(parse(json.loads(raw)))
-                    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                        parsed.append(_block_from_dict(json.loads(raw)) if part == "blocks"
+                                      else _events_from_line(raw, len(parsed)))
+                    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
                         raise ChainCorrupt(
                             f"malformed block at height {len(parsed)}: {exc!r}") from exc
                     if line_end >= end:
@@ -642,3 +646,18 @@ def _events_from_dict(d: dict) -> list[EventRecord]:
                     d["timestamp"])
         for e in d["events"]
     ]
+
+
+# the start of every `_block_line`: "block_hash", then "events", the first content key
+_LINE_HEAD = re.compile(rb'\{"block_hash":"0x[0-9a-f]{64}","events":')
+_DECODER = json.JSONDecoder()
+
+
+def _events_from_line(raw: bytes, height: int) -> list[EventRecord]:
+    """The events of the line at `height`, decoding nothing else; names interned, as a replay's."""
+    head = _LINE_HEAD.match(raw)
+    if head is None:
+        raise ValueError("not laid out as a block line")
+    return [EventRecord(sys.intern(e["kind"]), {sys.intern(k): v for k, v in e["payload"].items()},
+                        e["height"], e["tx_index"], e["event_index"], height)
+            for e in _DECODER.raw_decode(raw.decode("utf-8"), head.end())[0]]

@@ -239,7 +239,7 @@ def model_hash(model: StateMachineModel) -> str:
 def parse_model_bytes(data: bytes) -> StateMachineModel:
     try:
         raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InvalidModelDocument(f"not a UTF-8 JSON document: {exc}") from exc
     return validate_model(raw)
 

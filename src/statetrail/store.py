@@ -8,7 +8,7 @@ tampered one (CorruptContent).
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .errors import CorruptContent, MissingContent
 from .hashing import digest, is_content_hash
@@ -40,26 +40,28 @@ class ContentStore:
 class DirectoryContentStore:
     """On-disk store: one file per hash, named by the 0x-hex digest."""
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, root: str | os.PathLike):
+        self.root = os.fspath(root)
+        os.makedirs(self.root, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         if not is_content_hash(key):
             raise MissingContent(f"malformed content hash {key!r}")
-        return self.root / key
+        return os.path.join(self.root, key)
 
     def put(self, content: bytes) -> str:
         key = digest(content)
-        self._path(key).write_bytes(content)
+        with open(self._path(key), "wb") as fh:
+            fh.write(content)
         return key
 
     def has(self, key: str) -> bool:
-        return is_content_hash(key) and self._path(key).is_file()
+        return is_content_hash(key) and os.path.isfile(self._path(key))
 
     def get(self, key: str) -> bytes:
         try:
-            content = self._path(key).read_bytes()
+            with open(self._path(key), "rb", buffering=0) as fh:
+                content = fh.read()
         except (FileNotFoundError, IsADirectoryError):
             raise MissingContent(f"no content stored for {key}") from None
         if digest(content) != key:

@@ -11,15 +11,16 @@ Verification is three-valued. An entry whose contents cannot be resolved
 is `unverified` (not contradicted, not proven); any failing check with
 resolvable content makes it `inconsistent`; otherwise it is `verified`.
 
-`Tracker.verify_protocol` does constant work per entry. Within one call
-the model is read and parsed once, keyed by its content hash, and each
-state is read once: an entry's pre-state is the previous entry's
-post-state, so only the model and that one state are remembered, and
-memory does not grow with the protocol. Both stores verify every read
-against its hash, so the hash identifies the bytes and a remembered
-parse is exact. Nothing is kept between calls: a call sees the store as
-it is then, so content removed or tampered with since the last call
-changes the statuses.
+`Tracker.verify_protocol` does constant work per entry: one store read,
+one state parse, and a test of only the transitions with the hop's
+(source, target). Within one call the model is read, parsed and grouped
+by (source, target) once, keyed by its content hash, and each state is
+read once: an entry's pre-state is the previous entry's post-state, so
+only the model and that one state are remembered, and memory does not
+grow with the protocol. Both stores verify every read against its hash,
+so a remembered parse is exact. Nothing is kept between calls: a call
+sees the store as it is then, so content removed or tampered with since
+the last call changes the statuses.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .hashing import canonical_bytes
 from .ledger import Cursor, EventRecord, Ledger, ZERO_CURSOR
-from .model import StateMachineModel, parse_model_bytes
+from .model import StateMachineModel, TransitionDef, parse_model_bytes
 from .registry import (
     EVENT_INSTANCE_CREATED,
     EVENT_INSTANCE_TERMINATED,
@@ -276,6 +277,7 @@ class _Reads:
         self.store = store
         self._model: tuple[str, StateMachineModel | None, str | None] | None = None
         self._state: tuple[str, InstanceState | None, str | None] | None = None
+        self.hops: dict[tuple[str, str], list[TransitionDef]] = {}  # by (source, target)
 
     def model(self, key: str) -> tuple[StateMachineModel | None, str | None]:
         """The parsed model, or None with the failure status."""
@@ -288,6 +290,9 @@ class _Reads:
                 except TrailError:
                     status = STATUS_INCONSISTENT
             self._model = (key, model, status)
+            self.hops = {}
+            for t in model.transitions if model is not None else ():
+                self.hops.setdefault((t.source, t.target), []).append(t)
         return self._model[1], self._model[2]
 
     def state(self, key: str) -> tuple[InstanceState | None, str | None]:
@@ -328,7 +333,7 @@ def verify_entry(protocol: InstanceProtocol, entry: ProtocolEntry, store) -> str
     if entry.kind == KIND_CREATION:
         return _verify_creation(protocol, entry, model, reads)
     if entry.kind == KIND_TRANSITION:
-        return _verify_transition(protocol, entry, model, reads)
+        return _verify_transition(protocol, entry, reads)
     if entry.kind == KIND_TERMINATION:
         return _verify_termination(protocol, entry)
     return STATUS_INCONSISTENT
@@ -357,8 +362,7 @@ def _verify_creation(protocol: InstanceProtocol, entry: ProtocolEntry,
     return STATUS_VERIFIED if checks else STATUS_INCONSISTENT
 
 
-def _verify_transition(protocol: InstanceProtocol, entry: ProtocolEntry,
-                       model: StateMachineModel, reads: _Reads) -> str:
+def _verify_transition(protocol: InstanceProtocol, entry: ProtocolEntry, reads: _Reads) -> str:
     pre, pre_status = reads.state(entry.pre_state or "")
     post, post_status = reads.state(entry.post_state or "")
     failed = _worst([s for s in (pre_status, post_status) if s is not None])
@@ -379,17 +383,15 @@ def _verify_transition(protocol: InstanceProtocol, entry: ProtocolEntry,
         # adversarial states may carry alien variable names; any lookup
         # failure just means this transition does not explain the hop
         try:
-            if t.source != pre.current_state or t.target != post.current_state:
-                return False
             if t.guard is not None and not t.guard.holds(pre.variables):
                 return False
-            expected = (t.effect.apply(pre.variables)
-                        if t.effect is not None else dict(pre.variables))
-            return dict(post.variables) == expected
+            expected = t.effect.apply(pre.variables) if t.effect is not None else pre.variables
+            return post.variables == expected
         except KeyError:
             return False
 
-    legal = any(legal_hop(t) for t in model.transitions)
+    candidates = reads.hops.get((pre.current_state, post.current_state), ())
+    legal = any(legal_hop(t) for t in candidates)
     return STATUS_VERIFIED if (chained and well_formed and legal) else STATUS_INCONSISTENT
 
 

@@ -151,6 +151,22 @@ class TestRestore:
         assert ledger.events_since(ZERO_CURSOR) == replayed.events_since(ZERO_CURSOR)
         assert ledger.events_since(ZERO_CURSOR) == [e for b in ledger.blocks for e in b.events]
 
+    def test_restored_events_equal_a_full_replay(self, tmp_path):
+        # account blocks and a failed call emit no events; the events-only
+        # parse must still give each event its block's height as timestamp
+        path = chain(tmp_path)
+        ledger = Ledger.open(path, Registry())
+        assert not raw_submit(ledger, ALICE, call_register_model(h("m"), Descriptor("m", "m"))).ok
+        grow(ledger, 6, 2)
+        Ledger.open(path, Registry())  # anchors the checkpoint at the last block
+        restored = Ledger.open(path, Registry())
+        events = restored.events_since(ZERO_CURSOR)
+        assert restored._unread == {"blocks"}
+        checkpoint_path(path).unlink()
+        assert events == Ledger.open(path, Registry()).events_since(ZERO_CURSOR)
+        assert sorted({e.height for e in events}) == [5, 7, 8, 9, 11, 12]
+        assert all(e.timestamp == e.height for e in events)
+
     def test_prefix_changed_after_open_is_chain_corrupt(self, tmp_path):
         path = chain(tmp_path)
         Ledger.open(path, Registry())
@@ -341,6 +357,31 @@ class TestTrustBoundary:
         assert not checkpoint_path(path).exists()
         with pytest.raises(ChainCorrupt, match="nonce 9"):
             Ledger.open(path, Registry())
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda block: json.dumps(block, sort_keys=True).encode(),
+        lambda block: canonical_bytes(dict(block, events=[dict(block["events"][0], payload=[])])),
+    ], ids=["spaced", "list-payload"])
+    def test_resealed_prefix_line_that_is_no_block_line_is_chain_corrupt(self, tmp_path,
+                                                                          rewrite):
+        # open trusts the resealed checkpoint; the events-only parse refuses the line
+        import hashlib
+
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        body = body_of(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = rewrite(json.loads(lines[5])) + b"\n"
+        data = b"".join(lines)
+        path.write_bytes(data)
+        body.update(start=len(data) - len(lines[-1]), end=len(data),
+                    prefix_sha256=hashlib.sha256(data).hexdigest())
+        checkpoint_path(path).write_bytes(seal(body))
+        result = CliRunner().invoke(cli, ["--dir", str(tmp_path), "track"])
+        assert result.exit_code == 24, result.output
+        assert json.loads(result.stdout)["error"] == "ChainCorrupt"
+        assert "height 5" in json.loads(result.stdout)["detail"]
+        assert "fallback" not in result.stderr
 
     def test_chain_verify_on_an_empty_file_writes_nothing(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

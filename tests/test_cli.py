@@ -105,7 +105,13 @@ class TestInstanceCommands:
         {"current_state": "p", "variables": {"n": 0, "m": 0}},
         {"current_state": "x", "variables": {"n": 0}},
         {"current_state": "p", "variables": {"n": 0}, "instance_hash": "0x" + "e" * 64},
-    ], ids=["missing-variable", "extra-variable", "unknown-state", "other-instance"])
+        {"current_state": "p", "variables": {"n": 2.5}},
+        {"current_state": "p", "variables": {"n": "2"}},
+        {"current_state": "p", "variables": {"n": True}},
+        {"current_state": "p", "variables": {"n": 0}, "step": True},
+        {"current_state": ["p"], "variables": {"n": 0}},
+    ], ids=["missing-variable", "extra-variable", "unknown-state", "other-instance",
+            "float-variable", "string-variable", "bool-variable", "bool-step", "list-state"])
     def test_foreign_latest_state_is_corrupt_content(self, workdir, funded, command, foreign):
         from statetrail.hashing import canonical_bytes
         from statetrail.ledger import Ledger
@@ -291,6 +297,61 @@ class TestDemo:
             "0x02640b1ea5e799b3ac8b3212b11f19b14e76fbf9363b74ee31fecb1d7e74893f",
             "0xa039ac621e8a6a627ef82cfa18b1702cb276f9d1d261b33858c5d1eb30790d3c",
         ]
+
+    @pytest.mark.parametrize("faulted, expected", [
+        (False, {
+            "track": (0, "30b8e71ac8b6e48b2f9f835ebb9348d274c866288f3c6dfc8dc046084bb95ce4"),
+            "run-1": (0, "e3d5480ea557559872e369b271c157919b31e76962ebd29f620cb68f83f4e488"),
+            "run-2": (0, "ded6d28426063204673b3fb42a9b5767dbd765e140ea214b1029274312ac6685"),
+        }),
+        (True, {
+            "track": (0, "389e4207bb6522137e6878ad18e3898a9a3b67bfa7ba0442ae45180debf282c5"),
+            "run-1": (60, "1e699fdc1e3f7970a1035363743a5030f7d787877859fa4df3daaa0451e3d4d9"),
+            "run-2": (0, "ded6d28426063204673b3fb42a9b5767dbd765e140ea214b1029274312ac6685"),
+            "forged": (60, "6158d97b5e1a9a054af61f60834c69f2171b4cbe7dec01270a0414aacb03cefb"),
+        }),
+    ], ids=["clean", "faulted"])
+    def test_seed_7_verify_and_track_stdout_are_pinned(self, tmp_path, faulted, expected):
+        # stdout bytes and exit codes of the party commands; the faulted
+        # workdir has one store file deleted and one illegal hop registered
+        import hashlib
+
+        from statetrail.demo import derive_account, multiparty
+        from statetrail.hashing import canonical_bytes
+        from statetrail.ledger import ZERO_CURSOR, Ledger
+        from statetrail.registry import Registry, call_register_transition
+        from statetrail.store import DirectoryContentStore
+
+        from conftest import raw_submit
+
+        wd = tmp_path / "demo"
+        summary = multiparty(parties=3, steps=50, seed=7, workdir=wd)
+        commands = {"track": ["track"]}  # and `protocol verify` of each instance
+        for label, ih in zip(("run-1", "run-2"), summary["instances"]):
+            commands[label] = ["protocol", "verify", ih]
+        if faulted:
+            owner = derive_account(7, 0)
+            created = invoke(wd, "--account", owner, "instance", "create",
+                             summary["model_hash"], "--nonce", "2")
+            forged = last_json(created)["instance_hash"]
+            registry = Registry()
+            ledger = Ledger.open(wd / "ledger.jsonl", registry)
+            store = DirectoryContentStore(wd / "store")
+            hop = store.put(canonical_bytes({  # idle -> moving: no transition
+                "current_state": "moving", "instance_hash": forged, "step": 1,
+                "variables": {"items": 0}}))
+            initial = registry.get_instance(forged).latest_state
+            assert raw_submit(ledger, owner, call_register_transition(forged, initial, hop)).ok
+            victim = next(e.payload["post_state"] for e in ledger.events_since(ZERO_CURSOR)
+                          if e.payload.get("instance_hash") == summary["instances"][0]
+                          and e.payload.get("seq") == 10)
+            (wd / "store" / victim).unlink()
+            commands["forged"] = ["protocol", "verify", forged]
+        got = {}
+        for label, args in commands.items():
+            result = runner.invoke(cli, ["--dir", str(wd), *args])
+            got[label] = (result.exit_code, hashlib.sha256(result.stdout_bytes).hexdigest())
+        assert got == expected
 
     def test_rerun_in_same_workdir_is_reproducible(self, tmp_path):
         # the last run writes a shorter ledger, which the first run's

@@ -7,7 +7,7 @@ from statetrail.engine import InstanceState, state_content, state_hash
 from statetrail.errors import CorruptContent, MissingContent, OutOfOrderEvent
 from statetrail.hashing import canonical_bytes, digest
 from statetrail.ledger import EventRecord, ZERO_CURSOR
-from statetrail.model import canonical_serialize, model_hash
+from statetrail.model import canonical_serialize, model_hash, validate_model
 from statetrail.registry import Descriptor, call_register_model, call_register_transition
 from statetrail.store import ContentStore, DirectoryContentStore
 from statetrail.tracker import (
@@ -22,14 +22,14 @@ from statetrail.tracker import (
     verify_entry,
 )
 
-from conftest import ALICE, cycle_model, engine_for, make_world, raw_submit
+from conftest import ALICE, MINIMAL_DOC, cycle_model, engine_for, make_world, raw_submit
 
 
-def tracked_world(steps=("ab", "bc", "ca"), terminate=True):
-    """Honest run over the cycle model plus a caught-up tracker."""
+def tracked_world(steps=("ab", "bc", "ca"), terminate=True, model=None):
+    """Honest run over a model, by default the cycle, plus a caught-up tracker."""
     world = make_world()
     engine = engine_for(world, ALICE)
-    model = cycle_model()
+    model = model or cycle_model()
     world.store.put(canonical_serialize(model))
     engine.submit_call(call_register_model(model_hash(model), Descriptor("m", "m")))
     state = engine.instantiate(model, Descriptor(id="i", name="i"), 1)
@@ -40,6 +40,18 @@ def tracked_world(steps=("ab", "bc", "ca"), terminate=True):
     tracker = Tracker(world.ledger, world.registry, world.store)
     tracker.catch_up()
     return world, engine, model, state, tracker
+
+
+def hop_statuses(doc, target, n):
+    """Statuses of a fresh instance of `doc` after one registered hop to (target, n)."""
+    world, _, _, state, _ = tracked_world(steps=(), terminate=False, model=validate_model(doc))
+    post = world.store.put(state_content(
+        InstanceState(state.instance_hash, target, {"n": n}, 1)))
+    assert raw_submit(world.ledger, ALICE, call_register_transition(
+        state.instance_hash, state_hash(state), post)).ok
+    tracker = Tracker(world.ledger, world.registry, world.store)
+    tracker.catch_up()
+    return tracker.verify_protocol(state.instance_hash)
 
 
 class TestContentStores:
@@ -230,6 +242,41 @@ class TestVerification:
         assert tracker.verify_protocol(state.instance_hash) == [
             STATUS_VERIFIED, STATUS_INCONSISTENT]
 
+    @pytest.mark.parametrize("override", [
+        {"variables": {"n": 2.5}},
+        {"variables": {"n": "2"}},
+        {"variables": {"n": True}},
+        {"step": True},
+        {"current_state": ["q"]},
+    ], ids=["float", "string", "bool", "bool-step", "list-state"])
+    def test_ill_typed_post_state_is_inconsistent(self, override):
+        # int() would read 2.5 and "2" as the 2 that `ab` gives from n == 1
+        world, _, _, state, _ = tracked_world(steps=("ab", "bc", "ca"), terminate=False)
+        legal = {"current_state": "q", "instance_hash": state.instance_hash, "step": 4,
+                 "variables": {"n": 2}}
+        bad = world.store.put(canonical_bytes({**legal, **override}))
+        assert raw_submit(world.ledger, ALICE, call_register_transition(
+            state.instance_hash, state_hash(state), bad)).ok
+        tracker = Tracker(world.ledger, world.registry, world.store)
+        tracker.catch_up()
+        assert tracker.verify_protocol(state.instance_hash) == [STATUS_VERIFIED] * 4 + [
+            STATUS_INCONSISTENT]
+
+    @pytest.mark.parametrize("post_n, status", [
+        (1, STATUS_VERIFIED), (2, STATUS_VERIFIED), (3, STATUS_INCONSISTENT),
+    ], ids=["earlier", "later", "neither"])
+    def test_hop_shared_by_two_transitions(self, post_n, status):
+        # u1 and u2 both go A -> B; every candidate is tried, in id order
+        doc = {"name": "shared", "states": ["A", "B"], "initial": "A", "finals": [],
+               "variables": {"n": 0}, "transitions": [
+                   {"id": "u1", "from": "A", "to": "B", "effect": {"var": "n", "add": 1}},
+                   {"id": "u2", "from": "A", "to": "B", "effect": {"var": "n", "add": 2}}]}
+        assert hop_statuses(doc, "B", post_n) == [STATUS_VERIFIED, status]
+
+    def test_hop_that_no_transition_has_is_inconsistent(self):
+        doc = dict(MINIMAL_DOC, variables={"n": 0})
+        assert hop_statuses(doc, "A", 0) == [STATUS_VERIFIED, STATUS_INCONSISTENT]
+
     def test_wrong_creation_variables_inconsistent(self):
         world, engine, model, state, tracker = tracked_world(steps=(),
                                                              terminate=False)
@@ -325,6 +372,20 @@ class TestLinearVerification:
         protocol = tracker.protocols[state.instance_hash]
         protocol.model_hash = world.store.put(b'{"name": "no states"}')
         assert set(tracker.verify_protocol(state.instance_hash)) == {STATUS_INCONSISTENT}
+
+    @pytest.mark.parametrize("target", ["model", "creation-record", "post-state"])
+    def test_content_nested_too_deep_is_inconsistent(self, target):
+        world, _, _, state, tracker = tracked_world(steps=("ab",), terminate=False)
+        protocol = tracker.protocols[state.instance_hash]
+        deep = world.store.put(b"[" * 100_000 + b"]" * 100_000)
+        if target == "model":
+            protocol.model_hash = deep
+        elif target == "creation-record":
+            protocol.entries[0].instance_hash = deep
+        else:
+            protocol.entries[1].post_state = deep
+        statuses = tracker.verify_protocol(state.instance_hash)
+        assert STATUS_INCONSISTENT in statuses and STATUS_UNVERIFIED not in statuses
 
     @pytest.mark.parametrize("seqs", [
         [0, 1, 2, 3, 4, 5, 6],
