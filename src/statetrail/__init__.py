@@ -5,98 +5,38 @@ append-only ledger through a registry contract; an engine fires guarded
 transitions and registers each pre/post state pair; tracker clients
 rebuild per-instance protocols from the emitted events and verify them
 against the model.
+
+The names below are imported from their modules on first use, so a
+program that imports one module pays for that module alone.
 """
 
-from .demo import demo_model, multiparty
-from .engine import (
-    Engine,
-    ExecutionTrace,
-    InstanceState,
-    enabled_transitions,
-    fire,
-    parse_state_content,
-    state_content,
-    state_hash,
-)
-from .hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes, content_hash, digest
-from .ledger import (
-    Block,
-    EventRecord,
-    Ledger,
-    LedgerTransaction,
-    TxReceipt,
-    ZERO_CURSOR,
-    verify_chain_file,
-)
-from .model import (
-    StateMachineModel,
-    TransitionDef,
-    canonical_serialize,
-    load_model_file,
-    model_hash,
-    parse_model_bytes,
-    validate_model,
-)
-from .registry import (
-    Descriptor,
-    InstanceRecord,
-    ModelRecord,
-    Registry,
-    TransitionRecord,
-)
-from .store import ContentStore, DirectoryContentStore
-from .tracker import (
-    InstanceProtocol,
-    ProtocolEntry,
-    Tracker,
-    export_protocol,
-    import_protocol,
-    verify_entry,
-)
+from importlib import import_module
 
-__all__ = [
-    "Block",
-    "ContentStore",
-    "Descriptor",
-    "DirectoryContentStore",
-    "Engine",
-    "EventRecord",
-    "ExecutionTrace",
-    "FAUCET_ACCOUNT",
-    "InstanceProtocol",
-    "InstanceRecord",
-    "InstanceState",
-    "Ledger",
-    "LedgerTransaction",
-    "ModelRecord",
-    "ProtocolEntry",
-    "Registry",
-    "StateMachineModel",
-    "Tracker",
-    "TransitionDef",
-    "TransitionRecord",
-    "TxReceipt",
-    "ZERO_CURSOR",
-    "ZERO_HASH",
-    "canonical_bytes",
-    "canonical_serialize",
-    "content_hash",
-    "demo_model",
-    "digest",
-    "enabled_transitions",
-    "export_protocol",
-    "fire",
-    "import_protocol",
-    "load_model_file",
-    "model_hash",
-    "multiparty",
-    "parse_model_bytes",
-    "parse_state_content",
-    "state_content",
-    "state_hash",
-    "validate_model",
-    "verify_chain_file",
-    "verify_entry",
-]
+_ORIGINS = {
+    "demo": ("demo_model", "multiparty"),
+    "engine": ("Engine", "ExecutionTrace", "InstanceState", "enabled_transitions", "fire",
+               "parse_state_content", "state_content", "state_hash"),
+    "hashing": ("FAUCET_ACCOUNT", "ZERO_HASH", "canonical_bytes", "content_hash", "digest"),
+    "ledger": ("Block", "EventRecord", "Ledger", "LedgerTransaction", "TxReceipt",
+               "ZERO_CURSOR", "verify_chain_file"),
+    "model": ("StateMachineModel", "TransitionDef", "canonical_serialize", "load_model_file",
+              "model_hash", "parse_model_bytes", "validate_model"),
+    "registry": ("Descriptor", "InstanceRecord", "ModelRecord", "Registry", "TransitionRecord"),
+    "store": ("ContentStore", "DirectoryContentStore"),
+    "tracker": ("InstanceProtocol", "ProtocolEntry", "Tracker", "export_protocol",
+                "import_protocol", "verify_entry"),
+}
+_MODULE_OF = {name: module for module, names in _ORIGINS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+

@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import secrets
-import shutil
 import sys
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import click
 
-from .demo import EXPORTS_DIR, LEDGER_FILE, STORE_DIR, derive_account, multiparty
 from .engine import Engine, InstanceState, state_hash
 from .errors import (
     ChainCorrupt,
@@ -33,15 +28,17 @@ from .errors import (
     VerificationFailed,
     exit_code,
 )
-from .ledger import Ledger, checkpoint_path, verify_chain_file
+from .ledger import LEDGER_FILE, Ledger, checkpoint_path, verify_chain_file
 from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
-from .store import DirectoryContentStore
-from .tracker import STATUS_VERIFIED, Tracker
+from .store import STORE_DIR, DirectoryContentStore
+
+# commands import what only some of them run (tracker, demo) when they run
+if TYPE_CHECKING:
+    from .tracker import Tracker
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
     ledger_path: Path
     store_path: Path
     account_file: Path
@@ -93,6 +90,8 @@ def cli(ctx, workdir, account, account_file, seed):
 
 def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
     cfg.ledger_path.parent.mkdir(parents=True, exist_ok=True)
+    if cfg.ledger_path.is_dir():
+        raise ChainCorrupt(f"the ledger file {cfg.ledger_path} is a directory")
     registry = Registry()
     ledger = Ledger.open(cfg.ledger_path, registry)
     return ledger, registry, DirectoryContentStore(cfg.store_path)
@@ -101,9 +100,15 @@ def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
 def _sender(cfg: CliConfig) -> str:
     if cfg.account:
         return cfg.account
-    if cfg.account_file.exists():
-        return json.loads(cfg.account_file.read_text())["account"]
-    raise UnknownSender("no account configured; create one with `account new`")
+    if not cfg.account_file.exists():
+        raise UnknownSender("no account configured; create one with `account new`")
+    try:
+        sender = json.loads(cfg.account_file.read_bytes())["account"]
+    except (OSError, KeyError, TypeError, ValueError, RecursionError):
+        sender = None
+    if not isinstance(sender, str):
+        raise UnknownSender(f"the account file {cfg.account_file} holds no account id")
+    return sender
 
 
 def _engine(cfg: CliConfig) -> tuple[Engine, Ledger, Registry, DirectoryContentStore]:
@@ -125,14 +130,14 @@ def _instance(cfg: CliConfig,
 
 
 def _tracker(cfg: CliConfig) -> Tracker:
-    ledger, registry, store = _services(cfg)
-    tracker = Tracker(ledger, registry, store)
-    tracker.catch_up()
-    return tracker
+    from .tracker import Tracker
+
+    return Tracker(*_services(cfg))
 
 
 def _protocol(cfg: CliConfig, instance_hash: str) -> Tracker:
     tracker = _tracker(cfg)
+    tracker.catch_up()
     if instance_hash not in tracker.protocols:
         raise UnknownSubject(f"no protocol for instance {instance_hash}")
     return tracker
@@ -153,8 +158,12 @@ def account_new(cfg: CliConfig, save):
     """Create a fresh account through the faucet and print its id."""
     ledger, _, _ = _services(cfg)
     if cfg.seed is not None:
+        from .demo import derive_account
+
         new_id = derive_account(cfg.seed, len(ledger.known_accounts()))
     else:
+        import secrets
+
         new_id = "0x" + secrets.token_hex(20)
     ledger.create_account(new_id)
     if save:
@@ -270,9 +279,7 @@ def instance_terminate(cfg: CliConfig, instance_hash):
 @click.pass_obj
 def track(cfg: CliConfig):
     """Follow ledger events and print protocol entries as they apply."""
-    ledger, registry, store = _services(cfg)
-    tracker = Tracker(ledger, registry, store)
-    emit(first=(entry.to_dict() for entry in tracker.catch_up()))
+    emit(first=(entry.to_dict() for entry in _tracker(cfg).catch_up()))
 
 
 @cli.group()
@@ -295,6 +302,8 @@ def protocol_export(cfg: CliConfig, instance_hash):
 @click.pass_obj
 def protocol_verify(cfg: CliConfig, instance_hash):
     """Verify every protocol entry; exit 0 only if all entries verify."""
+    from .tracker import STATUS_VERIFIED
+
     tracker = _protocol(cfg, instance_hash)
     statuses = tracker.verify_protocol(instance_hash)
     ok = all(s == STATUS_VERIFIED for s in statuses)
@@ -322,7 +331,7 @@ def chain_verify(cfg: CliConfig):
     genesis and a successful one writes a fresh checkpoint. Exit 0 only
     if intact.
     """
-    if not cfg.ledger_path.exists():
+    if not cfg.ledger_path.is_file():
         raise ChainCorrupt(f"no ledger file at {cfg.ledger_path}")
     report = verify_chain_file(cfg.ledger_path)
     if report.ok and report.blocks_checked:
@@ -348,6 +357,11 @@ def demo():
               help="Scenario directory; defaults to a fresh temp dir.")
 def demo_multiparty(parties, steps, demo_seed, workdir):
     """Full multi-party scenario; asserts convergence of all trackers."""
+    import shutil
+    import tempfile
+
+    from .demo import EXPORTS_DIR, multiparty
+
     if workdir is None:
         target = Path(tempfile.mkdtemp(prefix="statetrail-demo-"))
     else:

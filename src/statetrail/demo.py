@@ -17,14 +17,12 @@ from pathlib import Path
 from .engine import Engine, InstanceState, enabled_transitions
 from .errors import ConvergenceFailed
 from .hashing import content_hash, digest
-from .ledger import Ledger
+from .ledger import LEDGER_FILE, Ledger
 from .model import StateMachineModel, canonical_serialize, validate_model
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
-from .store import DirectoryContentStore
+from .store import STORE_DIR, DirectoryContentStore
 from .tracker import STATUS_VERIFIED, Tracker
 
-LEDGER_FILE = "ledger.jsonl"
-STORE_DIR = "store"
 EXPORTS_DIR = "exports"
 
 # A conveyor loop that can run forever: every state always has at least one

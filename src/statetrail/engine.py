@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import errors
 from .errors import (
@@ -36,8 +35,7 @@ from .registry import (
 )
 
 
-@dataclass(frozen=True)
-class InstanceState:
+class InstanceState(NamedTuple):
     """Run-time snapshot of one instance."""
 
     instance_hash: str
@@ -46,15 +44,13 @@ class InstanceState:
     step: int
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     transition_id: str
     pre_hash: str
     post_hash: str
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
 
 

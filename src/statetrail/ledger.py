@@ -35,10 +35,13 @@ one JSON line on stderr naming the reason and re-executes the whole file.
 Any change to a byte of the prefix fails the prefix check, so open rejects
 every file that a full replay rejects. A checkpoint whose two digests
 match is trusted: `chain verify` deletes it and re-executes from genesis,
-which writes a fresh one. After re-executing at least one block, open
-writes a new checkpoint (a temporary file, then `os.replace`); a failed
-write is ignored. A checkpoint is a pure function of the prefix it
-anchors, so a stale one that still passes the checks is still correct.
+which writes a fresh one. Open writes a new checkpoint (a temporary file,
+then `os.replace`) after a full replay, and after a restore only once the
+tail it re-executed reaches `_CHECKPOINT_TAIL` blocks; a failed write is
+ignored. So the checkpoint lags the head by fewer than that many blocks,
+and a cut of the file's tail above the anchor still restores. A
+checkpoint is a pure function of the prefix it anchors, so a stale one
+that still passes the checks is still correct.
 """
 
 from __future__ import annotations
@@ -52,10 +55,9 @@ import re
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import (
     AccountExists,
@@ -87,10 +89,15 @@ class Contract(Protocol):
     def apply(self, sender: str, call: dict, timestamp: int) -> list[tuple[str, dict]]: ...
 
 
+LEDGER_FILE = "ledger.jsonl"  # its name in a working directory
 CHECKPOINT_SUFFIX = ".checkpoint"
 _CHECKPOINT_KEYS = frozenset({"accounts", "block_hash", "end", "height", "nonces",
                               "prefix_sha256", "registry", "start"})
 _CHUNK = 1 << 20
+# the tail a restore re-executes before open rewrites the checkpoint. A
+# rewrite costs as much as re-executing a hundred or more blocks and grows
+# with the chain; each open re-executes what the checkpoint lags by
+_CHECKPOINT_TAIL = 32
 
 
 def checkpoint_path(path: str | Path) -> Path:
@@ -98,15 +105,13 @@ def checkpoint_path(path: str | Path) -> Path:
     return Path(str(path) + CHECKPOINT_SUFFIX)
 
 
-@dataclass(frozen=True)
-class LedgerTransaction:
+class LedgerTransaction(NamedTuple):
     sender: str
     call: dict
     nonce: int
 
 
-@dataclass(frozen=True)
-class AppliedTransaction:
+class AppliedTransaction(NamedTuple):
     sender: str
     call: dict
     nonce: int
@@ -123,8 +128,7 @@ class AppliedTransaction:
         }
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     kind: str
     payload: dict
     height: int
@@ -147,14 +151,22 @@ class EventRecord:
         }
 
 
-@dataclass
 class Block:
-    height: int
-    prev_hash: str
-    transactions: list[AppliedTransaction]
-    events: list[EventRecord]
-    timestamp: int
-    block_hash: str = ""
+    __slots__ = ("height", "prev_hash", "transactions", "events", "timestamp", "block_hash")
+
+    def __init__(self, height: int, prev_hash: str, transactions: list[AppliedTransaction],
+                 events: list[EventRecord], timestamp: int, block_hash: str = ""):
+        self.height = height
+        self.prev_hash = prev_hash
+        self.transactions = transactions
+        self.events = events
+        self.timestamp = timestamp
+        self.block_hash = block_hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Block:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in Block.__slots__)
 
     def content_dict(self) -> dict:
         return {
@@ -174,21 +186,22 @@ class Block:
         return d
 
 
-@dataclass
 class TxReceipt:
-    tx: LedgerTransaction
-    status: str = "pending"
-    error: str | None = None
-    height: int | None = None
-    tx_index: int | None = None
+    __slots__ = ("tx", "status", "error", "height", "tx_index")
+
+    def __init__(self, tx: LedgerTransaction):
+        self.tx = tx
+        self.status = "pending"
+        self.error: str | None = None
+        self.height: int | None = None
+        self.tx_index: int | None = None
 
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     blocks_checked: int
     first_bad_height: int | None = None
@@ -396,11 +409,14 @@ class Ledger:
             sha = None
             if self._checkpoint is not None:
                 sha = self._restore_checkpoint(fh)
+            # blocks to re-execute before the checkpoint is rewritten: none after a full replay
+            due = 0 if sha is None else _CHECKPOINT_TAIL
             if sha is None:
                 fh.seek(0)
                 sha = hashlib.sha256()
             anchor = None
             for start, end, raw in _read_lines(fh, sha):
+                due -= 1
                 height = self._next_height
                 # genesis carries no transactions, whatever its line claims. Applying
                 # a forged block can fail too: a sender that is not a string, a value
@@ -420,7 +436,7 @@ class Ledger:
         # resync submission-time views with the committed state
         self._accounts_submitted = set(self._accounts)
         self._nonces_submitted = dict(self._nonces)
-        if anchor is not None and self._checkpoint is not None:
+        if anchor is not None and due <= 0 and self._checkpoint is not None:
             self._write_checkpoint(*anchor, sha.hexdigest())
 
     def _restore_checkpoint(self, fh) -> "hashlib._Hash | None":

@@ -21,9 +21,8 @@ Model file schema (UTF-8 JSON, unknown fields rejected):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .errors import (
     DanglingTransition,
@@ -38,8 +37,7 @@ from .hashing import canonical_bytes, digest, nfc
 GUARD_OPS = ("<", "<=", "==", ">=", ">")
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     var: str
     op: str
     value: int
@@ -57,8 +55,7 @@ class Guard:
         return left > self.value
 
 
-@dataclass(frozen=True)
-class Effect:
+class Effect(NamedTuple):
     var: str
     add: int
 
@@ -68,8 +65,7 @@ class Effect:
         return updated
 
 
-@dataclass(frozen=True)
-class TransitionDef:
+class TransitionDef(NamedTuple):
     id: str
     source: str
     target: str
@@ -77,8 +73,7 @@ class TransitionDef:
     effect: Effect | None = None
 
 
-@dataclass(frozen=True)
-class StateMachineModel:
+class StateMachineModel(NamedTuple):
     name: str
     states: tuple[str, ...]
     initial: str

@@ -13,8 +13,9 @@ Call wire format (embedded in LedgerTransaction): canonical JSON
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DuplicateInstance,
@@ -46,13 +47,12 @@ class InstanceStatus(str, Enum):
     TERMINATED = "terminated"
 
 
-@dataclass(frozen=True)
-class Descriptor:
+class Descriptor(NamedTuple):
     """Caller-supplied metadata shared by model and instance records."""
 
     id: str
     name: str
-    extra: dict[str, str] = field(default_factory=dict)
+    extra: Mapping[str, str] = MappingProxyType({})
     created_at: int | None = None
 
     def to_dict(self) -> dict:
@@ -81,26 +81,28 @@ def validate_descriptor(raw: dict) -> Descriptor:
     return Descriptor(id=did, name=name, extra=dict(extra))
 
 
-@dataclass(frozen=True)
-class ModelRecord:
+class ModelRecord(NamedTuple):
     model_hash: str
     owner: str
     descriptor: Descriptor
 
 
-@dataclass
 class InstanceRecord:
-    instance_hash: str
-    model_hash: str
-    owner: str
-    descriptor: Descriptor
-    status: InstanceStatus
-    latest_state: str
-    transition_count: int
+    __slots__ = ("instance_hash", "model_hash", "owner", "descriptor", "status",
+                 "latest_state", "transition_count")
+
+    def __init__(self, instance_hash: str, model_hash: str, owner: str, descriptor: Descriptor,
+                 status: InstanceStatus, latest_state: str, transition_count: int):
+        self.instance_hash = instance_hash
+        self.model_hash = model_hash
+        self.owner = owner
+        self.descriptor = descriptor
+        self.status = status
+        self.latest_state = latest_state
+        self.transition_count = transition_count
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     instance_hash: str
     pre_state: str
     post_state: str
@@ -217,7 +219,7 @@ class Registry:
             raise InvalidDescriptor("descriptor id must be a non-empty string")
         if model_hash in self._models:
             raise DuplicateModel(f"model {model_hash} already registered")
-        record = ModelRecord(model_hash, caller, replace(descriptor, created_at=timestamp))
+        record = ModelRecord(model_hash, caller, descriptor._replace(created_at=timestamp))
         self._models[model_hash] = record
         return record
 
@@ -235,7 +237,7 @@ class Registry:
             instance_hash=instance_hash,
             model_hash=model_hash,
             owner=caller,
-            descriptor=replace(descriptor, created_at=timestamp),
+            descriptor=descriptor._replace(created_at=timestamp),
             status=InstanceStatus.ACTIVE,
             latest_state=initial_state_hash,
             transition_count=0,

@@ -8,10 +8,14 @@ tampered one (CorruptContent).
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 
 from .errors import CorruptContent, MissingContent
 from .hashing import digest, is_content_hash
+
+STORE_DIR = "store"  # its name in a working directory
 
 
 class ContentStore:
@@ -38,11 +42,18 @@ class ContentStore:
 
 
 class DirectoryContentStore:
-    """On-disk store: one file per hash, named by the 0x-hex digest."""
+    """On-disk store: one file per hash, named by the 0x-hex digest.
+
+    A file appears at its key only whole: `put` writes a temporary file
+    beside it, named for the writing process and thread, and renames it.
+    """
 
     def __init__(self, root: str | os.PathLike):
         self.root = os.fspath(root)
-        os.makedirs(self.root, exist_ok=True)
+        try:
+            os.makedirs(self.root, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise MissingContent(f"the content store {self.root} is not a directory") from None
 
     def _path(self, key: str) -> str:
         if not is_content_hash(key):
@@ -51,8 +62,16 @@ class DirectoryContentStore:
 
     def put(self, content: bytes) -> str:
         key = digest(content)
-        with open(self._path(key), "wb") as fh:
-            fh.write(content)
+        path = self._path(key)
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(content)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return key
 
     def has(self, key: str) -> bool:

@@ -26,7 +26,6 @@ the last call changes the statuses.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .engine import InstanceState, parse_creation_record, parse_state_content
 from .errors import (
@@ -71,31 +70,55 @@ _NULLABLE_FIELD_TYPES = {
 }
 
 
-@dataclass
 class ProtocolEntry:
-    kind: str
-    instance_hash: str
-    model_hash: str
-    seq: int
-    pre_state: str | None = None
-    post_state: str | None = None
-    height: int | None = None
-    tx_index: int | None = None
-    emitter: str | None = None
-    timestamp: int | None = None
-    status: str = STATUS_UNVERIFIED
+    __slots__ = EXPORT_FIELDS
+
+    def __init__(self, kind: str, instance_hash: str, model_hash: str, seq: int,
+                 pre_state: str | None = None, post_state: str | None = None,
+                 height: int | None = None, tx_index: int | None = None,
+                 emitter: str | None = None, timestamp: int | None = None,
+                 status: str = STATUS_UNVERIFIED):
+        self.kind = kind
+        self.instance_hash = instance_hash
+        self.model_hash = model_hash
+        self.seq = seq
+        self.pre_state = pre_state
+        self.post_state = post_state
+        self.height = height
+        self.tx_index = tx_index
+        self.emitter = emitter
+        self.timestamp = timestamp
+        self.status = status
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ProtocolEntry:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in EXPORT_FIELDS)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in EXPORT_FIELDS)
+        return f"ProtocolEntry({fields})"
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in EXPORT_FIELDS}
 
 
-@dataclass
 class InstanceProtocol:
-    instance_hash: str
-    model_hash: str
-    entries: list[ProtocolEntry] = field(default_factory=list)
-    # number of leading entries whose seq equals their index
-    _dense: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("instance_hash", "model_hash", "entries", "_dense")
+
+    def __init__(self, instance_hash: str, model_hash: str,
+                 entries: list[ProtocolEntry] | None = None):
+        self.instance_hash = instance_hash
+        self.model_hash = model_hash
+        self.entries = [] if entries is None else entries
+        # number of leading entries whose seq equals their index
+        self._dense = 0
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not InstanceProtocol:
+            return NotImplemented
+        return (self.instance_hash, self.model_hash, self.entries) == (
+            other.instance_hash, other.model_hash, other.entries)
 
     @property
     def next_seq(self) -> int:

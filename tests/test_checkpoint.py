@@ -13,7 +13,7 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 from statetrail.cli import cli
 from statetrail.errors import ChainCorrupt
 from statetrail.hashing import canonical_bytes, content_hash, digest
-from statetrail.ledger import ZERO_CURSOR, Ledger, checkpoint_path
+from statetrail.ledger import _CHECKPOINT_TAIL, ZERO_CURSOR, Ledger, checkpoint_path
 from statetrail.registry import (
     Descriptor,
     Registry,
@@ -113,18 +113,42 @@ class TestRestore:
         assert checkpoint["body"]["end"] == path.stat().st_size
 
     def test_reopen_re_executes_exactly_the_tail(self, tmp_path):
+        # a short tail is re-executed on every open and leaves the checkpoint
+        # as it is; a tail of _CHECKPOINT_TAIL blocks is re-executed once
         path = chain(tmp_path, calls=6)
         first = CountingRegistry()
         Ledger.open(path, first)
         assert first.applied == 6
+        written = checkpoint_path(path).read_bytes()
         grow(Ledger.open(path, Registry()), 6, 4)
-        second = CountingRegistry()
-        ledger = Ledger.open(path, second)
-        assert second.applied == 4
-        third = CountingRegistry()
-        Ledger.open(path, third)
-        assert third.applied == 0
-        assert state(ledger, second) == full_replay(path, tmp_path)
+        for _ in range(2):
+            again = CountingRegistry()
+            ledger = Ledger.open(path, again)
+            assert again.applied == 4
+            assert checkpoint_path(path).read_bytes() == written
+            assert state(ledger, again) == full_replay(path, tmp_path)
+        grow(ledger, 10, _CHECKPOINT_TAIL - 4)
+        long_tail = CountingRegistry()
+        ledger = Ledger.open(path, long_tail)
+        assert long_tail.applied == _CHECKPOINT_TAIL
+        assert body_of(path)["end"] == path.stat().st_size
+        head = CountingRegistry()
+        Ledger.open(path, head)
+        assert head.applied == 0
+        assert state(ledger, long_tail) == full_replay(path, tmp_path)
+
+    def test_tail_cut_above_the_anchor_restores(self, tmp_path, capsys):
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        grow(Ledger.open(path, Registry()), 6, 4)
+        Ledger.open(path, Registry())  # re-executes a short tail: the anchor stays
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-2]))
+        counting = CountingRegistry()
+        ledger = Ledger.open(path, counting)
+        assert capsys.readouterr().err == ""
+        assert ledger._prefix is not None and counting.applied == 2
+        assert state(ledger, counting) == full_replay(path, tmp_path)
 
     def test_restored_ledger_appends_without_reading_the_prefix(self, tmp_path):
         path = chain(tmp_path)
@@ -272,10 +296,10 @@ class TestFallback:
         self.check(path, tmp_path, capsys, "checkpoint body is not JSON")
 
     def test_anchor_past_eof_after_tail_truncation(self, tmp_path, capsys):
-        # what a benchmark round does: append, reopen, cut the file back
+        # append enough for a reopen to move the anchor, then cut the file back
         path = chain(tmp_path)
         size = path.stat().st_size
-        grow(Ledger.open(path, Registry()), 6, 3)
+        grow(Ledger.open(path, Registry()), 6, _CHECKPOINT_TAIL)
         Ledger.open(path, Registry())
         with path.open("r+b") as fh:
             fh.truncate(size)

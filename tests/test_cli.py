@@ -69,6 +69,18 @@ class TestAccounts:
         assert last_json(result)["error"] == "UnknownSender"
 
 
+    @pytest.mark.parametrize("content", [
+        b"not json", b'{"account": "\xff"}', b'{"acct": 1}', b"[1]", b'{"account": 1}',
+    ], ids=["not-json", "not-utf8", "no-account-key", "not-an-object", "non-string"])
+    def test_malformed_account_file_is_unknown_sender(self, workdir, content):
+        account_file = workdir / "account.json"
+        account_file.write_bytes(content)
+        result = invoke(workdir, "model", "register", write_model(workdir, CYCLE_DOC))
+        assert result.exit_code == EXIT_CODES["UnknownSender"]
+        assert last_json(result)["error"] == "UnknownSender"
+        assert str(account_file) in last_json(result)["detail"]
+
+
 class TestModelCommands:
     def test_register_prints_model_hash(self, workdir, funded):
         mh = register_cycle(workdir)
@@ -227,6 +239,21 @@ class TestChainCommands:
     def test_verify_without_ledger(self, workdir):
         result = invoke(workdir, "chain", "verify")
         assert result.exit_code == EXIT_CODES["ChainCorrupt"]
+
+    @pytest.mark.parametrize("command", [["track"], ["chain", "verify"]])
+    def test_ledger_file_that_is_a_directory(self, workdir, command):
+        (workdir / "ledger.jsonl").mkdir()
+        result = invoke(workdir, *command)
+        assert result.exit_code == EXIT_CODES["ChainCorrupt"]
+        assert last_json(result)["error"] == "ChainCorrupt"
+        assert "Traceback" not in result.output
+
+    def test_store_that_is_a_file(self, workdir):
+        (workdir / "store").write_bytes(b"")
+        result = invoke(workdir, "track")
+        assert result.exit_code == EXIT_CODES["MissingContent"]
+        assert last_json(result)["error"] == "MissingContent"
+        assert "Traceback" not in result.output
 
     def test_tampered_ledger_detected(self, workdir, funded):
         mh = register_cycle(workdir)

@@ -3,6 +3,9 @@
 These pins make a change to the surface a deliberate edit of this file.
 """
 
+import subprocess
+import sys
+
 import statetrail
 from statetrail import errors
 from statetrail.cli import cli
@@ -55,6 +58,21 @@ def test_package_exports():
         "verify_entry",
     ]
     assert all(hasattr(statetrail, name) for name in statetrail.__all__)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from statetrail import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(statetrail.__all__)
+
+
+def test_cli_import_leaves_out_what_only_some_commands_run():
+    # a fresh interpreter, since this one has imported every module already
+    code = ("import sys, statetrail.cli; print(sorted({'statetrail.tracker', 'statetrail.demo',"
+            " 'dataclasses'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_cli_global_options_and_commands():

@@ -90,6 +90,36 @@ class TestContentStores:
         with pytest.raises(MissingContent):
             store.get(key)
 
+    def test_write_that_fails_midway_leaves_nothing_at_the_key(self, tmp_path, monkeypatch):
+        import statetrail.store as store_module
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        store = DirectoryContentStore(tmp_path / "store")
+        key = digest(b"precious bytes")
+        monkeypatch.setattr(store_module, "open", lambda *a: HalfWritten(open(*a)),
+                            raising=False)
+        with pytest.raises(OSError):
+            store.put(b"precious bytes")
+        assert not store.has(key)
+        assert list((tmp_path / "store").iterdir()) == []
+        monkeypatch.undo()
+        assert store.put(b"precious bytes") == key
+        assert store.get(key) == b"precious bytes"
+        assert [p.name for p in (tmp_path / "store").iterdir()] == [key]
+
     def test_disk_tamper_detected_on_read(self, tmp_path):
         store = DirectoryContentStore(tmp_path / "store")
         key = store.put(b"precious bytes")
