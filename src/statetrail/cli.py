@@ -157,6 +157,10 @@ def account():
 def account_new(cfg: CliConfig, save):
     """Create a fresh account through the faucet and print its id."""
     ledger, _, _ = _services(cfg)
+    if save:  # before the account goes on-chain, where a retry could not reuse it
+        cfg.account_file.parent.mkdir(parents=True, exist_ok=True)
+        if cfg.account_file.is_dir():
+            raise UnknownSender(f"the account file {cfg.account_file} is a directory")
     if cfg.seed is not None:
         from .demo import derive_account
 
@@ -167,7 +171,6 @@ def account_new(cfg: CliConfig, save):
         new_id = "0x" + secrets.token_hex(20)
     ledger.create_account(new_id)
     if save:
-        cfg.account_file.parent.mkdir(parents=True, exist_ok=True)
         cfg.account_file.write_text(json.dumps({"account": new_id}, sort_keys=True) + "\n")
     emit({"account": new_id})
 
@@ -366,9 +369,12 @@ def demo_multiparty(parties, steps, demo_seed, workdir):
         target = Path(tempfile.mkdtemp(prefix="statetrail-demo-"))
     else:
         target = Path(workdir)
-        for stale in (target / LEDGER_FILE, checkpoint_path(target / LEDGER_FILE)):
-            if stale.exists():
-                stale.unlink()
+        stale_files = (target / LEDGER_FILE, checkpoint_path(target / LEDGER_FILE))
+        for stale in stale_files:
+            if stale.is_dir():
+                raise ChainCorrupt(f"the ledger file {stale} is a directory")
+        for stale in stale_files:
+            stale.unlink(missing_ok=True)
         for stale_dir in (target / STORE_DIR, target / EXPORTS_DIR):
             if stale_dir.exists():
                 shutil.rmtree(stale_dir)

@@ -140,6 +140,8 @@ class Engine:
         self.registry = registry
         self.store = store
         self.account = account
+        # instance hash -> (the last state this engine stored for it, its hash)
+        self._latest: dict[str, tuple[InstanceState, str]] = {}
 
     def instantiate(self, model: StateMachineModel, descriptor: Descriptor,
                     nonce: int) -> InstanceState:
@@ -156,6 +158,7 @@ class Engine:
         )
         initial_hash = self.store.put(state_content(initial))
         self.submit_call(call_register_instance(instance_hash, mh, descriptor, initial_hash))
+        self._latest[instance_hash] = (initial, initial_hash)
         return initial
 
     def fire_and_register(
@@ -165,20 +168,24 @@ class Engine:
 
         Raises without side effects if the firing is illegal; if the
         on-chain registration fails, the caller's state stays valid and
-        unadvanced.
+        unadvanced. The pre-state is encoded and hashed again unless it is
+        the very object this engine last stored for the instance.
         """
         post = fire(state, model, transition_id)
-        pre_hash = state_hash(state)
+        latest = self._latest.get(state.instance_hash)
+        pre_hash = latest[1] if latest is not None and latest[0] is state else state_hash(state)
         # the previous step already stored the pre-state; rewriting its
         # file would cost I/O and could tear registered content on a crash
         if not self.store.has(pre_hash):
             self.store.put(state_content(state))
         post_hash = self.store.put(state_content(post))
         self.submit_call(call_register_transition(state.instance_hash, pre_hash, post_hash))
+        self._latest[state.instance_hash] = (post, post_hash)
         record = self.registry.get_transitions(state.instance_hash)[-1]
         return post, record
 
     def terminate(self, instance_hash: str) -> None:
+        self._latest.pop(instance_hash, None)
         self.submit_call(call_terminate_instance(instance_hash))
 
     def random_walk(self, model: StateMachineModel, instance: InstanceState,

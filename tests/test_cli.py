@@ -80,6 +80,17 @@ class TestAccounts:
         assert last_json(result)["error"] == "UnknownSender"
         assert str(account_file) in last_json(result)["detail"]
 
+    def test_account_file_that_is_a_directory_is_checked_before_submitting(self, workdir):
+        assert invoke(workdir, "account", "new", "--no-save", seed=1).exit_code == 0
+        ledger = (workdir / "ledger.jsonl").read_bytes()
+        account_file = workdir / "account.json"
+        account_file.mkdir()
+        result = invoke(workdir, "account", "new", seed=1)
+        assert result.exit_code == EXIT_CODES["UnknownSender"]
+        assert last_json(result)["error"] == "UnknownSender"
+        assert str(account_file) in last_json(result)["detail"]
+        assert (workdir / "ledger.jsonl").read_bytes() == ledger
+
 
 class TestModelCommands:
     def test_register_prints_model_hash(self, workdir, funded):
@@ -296,6 +307,23 @@ class TestDemo:
         summary = last_json(result)
         assert summary["converged"] is True
         assert all(n == 10 for n in summary["entries"].values())
+
+    @pytest.mark.parametrize("name", ["ledger.jsonl", "ledger.jsonl.checkpoint"])
+    def test_ledger_file_that_is_a_directory_deletes_nothing(self, tmp_path, name):
+        target = tmp_path / "demo"
+        for stale in ("ledger.jsonl", "ledger.jsonl.checkpoint", "store/0x00"):
+            (target / stale).parent.mkdir(parents=True, exist_ok=True)
+            if stale == name:
+                (target / stale).mkdir()
+            else:
+                (target / stale).write_bytes(b"old")
+        before = sorted(target.rglob("*"))
+        result = invoke(tmp_path, "demo", "multiparty", "--steps", "2",
+                        "--workdir", str(target))
+        assert result.exit_code == EXIT_CODES["ChainCorrupt"]
+        assert last_json(result)["error"] == "ChainCorrupt"
+        assert str(target / name) in last_json(result)["detail"]
+        assert sorted(target.rglob("*")) == before
 
     def test_same_seed_twice_gives_identical_exports(self, tmp_path):
         outs = []

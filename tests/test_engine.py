@@ -1,6 +1,10 @@
 """Engine semantics: instantiation, firing, on-chain coupling, walks."""
 
+import importlib
+
 import pytest
+
+from statetrail import hashing
 
 from statetrail.engine import (
     Engine,
@@ -222,6 +226,82 @@ class TestFireAndRegister:
         world.store._entries.pop(state_hash(state))
         engine.fire_and_register(state, model, "ab")
         assert world.store.get(state_hash(state)) == state_content(state)
+
+
+class TestPreStateHash:
+    """The pre-state hash is reused only for the engine's own latest object."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls to `canonical_bytes` and `digest`, wherever a module imported them."""
+        counts = {"canonical_bytes": 0, "digest": 0}
+        modules = [hashing] + [importlib.import_module(f"statetrail.{m}") for m in
+                               ("model", "engine", "ledger", "registry", "store",
+                                "tracker", "demo", "cli")]
+        for name in counts:
+            original = getattr(hashing, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_in_memory_step_encodes_and_hashes_twice(self, world, descriptor, calls):
+        model = cycle_model()
+        engine = registered(world, model)
+        per_walk = []
+        for nonce, steps in ((1, 0), (2, 30)):
+            state = engine.instantiate(model, descriptor, nonce)
+            before = dict(calls)
+            trace = engine.random_walk(model, state, steps, seed=3)
+            assert len(trace.steps) == steps
+            per_walk.append({k: calls[k] - before[k] for k in calls})
+        # the walk of no steps pays only for the termination
+        per_step = {k: (per_walk[1][k] - per_walk[0][k]) / 30 for k in calls}
+        assert per_step == {"canonical_bytes": 2, "digest": 2}
+
+    @pytest.mark.parametrize("again", [
+        lambda engine, state: state._replace(),
+        lambda engine, state: engine.load_state(state.instance_hash),
+    ], ids=["equal-copy", "reloaded"])
+    def test_other_object_of_the_latest_state_is_hashed_again(self, world, descriptor,
+                                                              again):
+        model = cycle_model()
+        engine = registered(world, model)
+        state = engine.instantiate(model, descriptor, 1)
+        state, _ = engine.fire_and_register(state, model, "ab")
+        copy = again(engine, state)
+        assert copy == state and copy is not state
+        post, record = engine.fire_and_register(copy, model, "bc")
+        assert (record.pre_state, record.post_state) == (state_hash(state), state_hash(post))
+        assert world.registry.get_instance(state.instance_hash).latest_state == \
+            state_hash(post)
+
+    def test_step_after_stale_chain_starts_from_the_rival_state(self, world, descriptor):
+        model = cycle_model()
+        owner = registered(world, model)
+        state = owner.instantiate(model, descriptor, 1)
+        owner.submit_call(call_delegate_access(state.instance_hash, BOB))
+        rival_state, _ = engine_for(world, BOB).fire_and_register(state, model, "ab")
+        with pytest.raises(StaleChain):
+            owner.fire_and_register(state, model, "ab")
+        post, record = owner.fire_and_register(rival_state, model, "bc")
+        assert record.seq == 2
+        assert (record.pre_state, record.post_state) == (state_hash(rival_state),
+                                                         state_hash(post))
+
+    def test_terminate_drops_the_entry(self, world, descriptor):
+        model = cycle_model()
+        engine = registered(world, model)
+        walked = engine.instantiate(model, descriptor, 1)
+        stopped = engine.instantiate(model, descriptor, 2)
+        engine.random_walk(model, walked, 4, seed=1)
+        engine.terminate(stopped.instance_hash)
+        assert engine._latest == {}
 
 
 class TestRandomWalk:

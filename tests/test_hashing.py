@@ -83,8 +83,25 @@ class TestExactness:
     @example({"\u212b": ["\u0344", "\u1100\u1161\u11a8"]})
     @example({1: "a", 10: "b", 2: "c"})
     @example({1: "a", "b": 2})
+    @example(float("nan"))
+    @example(float("inf"))
+    @example({1, 2})
+    @example(object())
+    @example("caf\u00e9")
+    @example(7)
+    @example(None)
     def test_matches_walk_then_dump(self, value):
         assert outcome(canonical_bytes, value) == outcome(reference_canonical_bytes, value)
+
+    @pytest.mark.parametrize("kind", [list, dict])
+    def test_value_that_contains_itself_is_a_recursion_error(self, kind):
+        value = kind()
+        if kind is list:
+            value.append(value)
+        else:
+            value["self"] = value
+        with pytest.raises(RecursionError):
+            canonical_bytes(value)
 
 
 @pytest.fixture
