@@ -22,6 +22,7 @@ from .engine import Engine, InstanceState, state_hash
 from .errors import (
     ChainCorrupt,
     CorruptContent,
+    MissingContent,
     TrailError,
     UnknownSender,
     UnknownSubject,
@@ -158,7 +159,11 @@ def account_new(cfg: CliConfig, save):
     """Create a fresh account through the faucet and print its id."""
     ledger, _, _ = _services(cfg)
     if save:  # before the account goes on-chain, where a retry could not reuse it
-        cfg.account_file.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            cfg.account_file.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UnknownSender(f"no directory for the account file {cfg.account_file}: "
+                                f"{exc.strerror}") from exc
         if cfg.account_file.is_dir():
             raise UnknownSender(f"the account file {cfg.account_file} is a directory")
     if cfg.seed is not None:
@@ -370,14 +375,18 @@ def demo_multiparty(parties, steps, demo_seed, workdir):
     else:
         target = Path(workdir)
         stale_files = (target / LEDGER_FILE, checkpoint_path(target / LEDGER_FILE))
+        stale_dirs = (target / STORE_DIR, target / EXPORTS_DIR)
         for stale in stale_files:
             if stale.is_dir():
                 raise ChainCorrupt(f"the ledger file {stale} is a directory")
+        for stale in stale_dirs:
+            if stale.exists() and not stale.is_dir():
+                raise MissingContent(f"{stale} is not a directory")
         for stale in stale_files:
             stale.unlink(missing_ok=True)
-        for stale_dir in (target / STORE_DIR, target / EXPORTS_DIR):
-            if stale_dir.exists():
-                shutil.rmtree(stale_dir)
+        for stale in stale_dirs:
+            if stale.exists():
+                shutil.rmtree(stale)
     summary = multiparty(parties=parties, steps=steps, seed=demo_seed, workdir=target)
     click.echo(f"workdir: {target}", err=True)
     emit(summary)

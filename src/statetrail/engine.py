@@ -219,8 +219,6 @@ class Engine:
         """Submit one registry call from this account and wait for its outcome."""
         tx = LedgerTransaction(self.account, call, self.ledger.next_nonce(self.account))
         receipt = self.ledger.submit(tx)
-        if receipt.status == "pending":
-            self.ledger.commit_block()
         if not receipt.ok:
             raise errors.error_class(receipt.error or "")(
                 f"registry rejected {call['op']}: {receipt.error}")

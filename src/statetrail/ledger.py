@@ -2,9 +2,10 @@
 
 The ledger totally orders transactions, applies them against a contract
 (the registry), and collects the events the contract emits into blocks.
-There is no consensus: one sequencer commits blocks on demand or once a
-submission batch fills up. Failed contract calls stay on-chain with a
-failure marker and emit no events, mirroring reverted transactions.
+There is no consensus: one sequencer commits each accepted transaction as
+a block of its own. Failed contract calls stay on-chain with a failure
+marker and emit no events, mirroring reverted transactions. A file may
+still hold blocks with no or several transactions; open replays them.
 
 Block height 0 is an empty genesis block created at construction, so the
 zero cursor (0, 0, 0) sorts strictly before every real event position.
@@ -65,6 +66,7 @@ from .errors import (
     ChainCorrupt,
     InvalidCursor,
     RegistryError,
+    UnknownCall,
     UnknownSender,
 )
 from .hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes, digest, is_account_id
@@ -177,24 +179,17 @@ class Block:
             "transactions": [t.to_dict() for t in self.transactions],
         }
 
-    def compute_hash(self) -> str:
-        return digest(canonical_bytes(self.content_dict()))
-
     def to_dict(self) -> dict:
         d = self.content_dict()
         d["block_hash"] = self.block_hash
         return d
 
 
-class TxReceipt:
-    __slots__ = ("tx", "status", "error", "height", "tx_index")
-
-    def __init__(self, tx: LedgerTransaction):
-        self.tx = tx
-        self.status = "pending"
-        self.error: str | None = None
-        self.height: int | None = None
-        self.tx_index: int | None = None
+class TxReceipt(NamedTuple):
+    tx: LedgerTransaction
+    status: str
+    error: str | None
+    height: int
 
     @property
     def ok(self) -> bool:
@@ -223,24 +218,15 @@ def create_account_call(account: str) -> dict:
 class Ledger:
     """Single-writer transaction log over a contract.
 
-    Submissions and commits are serialized through one lock; reads only
-    ever see fully committed blocks.
+    Each submission is checked, applied, sealed as one block and persisted
+    under one lock; reads only ever see fully committed blocks.
     """
 
-    def __init__(
-        self,
-        contract: Contract,
-        *,
-        path: str | Path | None = None,
-        batch_size: int = 1,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+    def __init__(self, contract: Contract, *, path: str | Path | None = None):
         self._contract = contract
         self._path = Path(path) if path is not None else None
         self._checkpoint = (checkpoint_path(self._path)
                             if self._path is not None and hasattr(contract, "restore") else None)
-        self._batch_size = batch_size
         self._lock = threading.Lock()
         # blocks and events after the restored prefix, or all of them
         self._blocks: list[Block] = []
@@ -253,17 +239,14 @@ class Ledger:
         self._head_hash = ZERO_HASH
         self._accounts: set[str] = set()
         self._nonces: dict[str, int] = {}
-        self._accounts_submitted: set[str] = set()
-        self._nonces_submitted: dict[str, int] = {}
-        self._pending: list[tuple[LedgerTransaction, TxReceipt]] = []
         if self._path is not None and self._path.exists():
             self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written
             self._persist(*self._apply_block([]))
 
     @classmethod
-    def open(cls, path: str | Path, contract: Contract, *, batch_size: int = 1) -> "Ledger":
-        return cls(contract, path=path, batch_size=batch_size)
+    def open(cls, path: str | Path, contract: Contract) -> "Ledger":
+        return cls(contract, path=path)
 
     # ------------------------------------------------------------------ reads
 
@@ -280,7 +263,7 @@ class Ledger:
         return set(self._accounts)
 
     def next_nonce(self, sender: str) -> int:
-        return self._nonces_submitted.get(sender, 0) + 1
+        return self._nonces.get(sender, 0) + 1
 
     def events_since(self, cursor: Cursor) -> list[EventRecord]:
         """All committed events strictly after the cursor, in total order."""
@@ -295,55 +278,39 @@ class Ledger:
 
     def create_account(self, account: str) -> TxReceipt:
         """Register a fresh account through the faucet sender."""
-        tx = LedgerTransaction(FAUCET_ACCOUNT, create_account_call(account), 0)
-        with self._lock:
-            return self._submit_locked(tx)
+        return self.submit(LedgerTransaction(FAUCET_ACCOUNT, create_account_call(account), 0))
 
     def submit(self, tx: LedgerTransaction) -> TxReceipt:
-        """Queue a transaction; commits automatically once the batch fills."""
-        with self._lock:
-            return self._submit_locked(tx)
+        """Check one transaction, then commit it as a block of its own.
 
-    def commit_block(self) -> Block:
-        """Apply all pending transactions in submission order as one block."""
+        A refused transaction raises and changes nothing. A faucet account
+        creation gets the faucet's next nonce, whatever `tx` holds.
+        """
         with self._lock:
-            return self._commit_locked()
+            is_create, account = _faucet_creation(tx)
+            if is_create:
+                if account is None:
+                    raise UnknownSender("the faucet's call names no well-formed account id")
+                if account in self._accounts:
+                    raise AccountExists(f"account {account} already exists")
+                tx = tx._replace(nonce=self.next_nonce(FAUCET_ACCOUNT))
+            else:
+                if not is_account_id(tx.sender) or tx.sender not in self._accounts:
+                    raise UnknownSender(f"sender {tx.sender} is not a known account")
+                expected = self.next_nonce(tx.sender)
+                if type(tx.nonce) is not int or tx.nonce != expected:
+                    raise BadNonce(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}")
+            # the block's encoding must not fail after the call has been applied
+            try:
+                canonical_bytes(tx.call)
+            except (TypeError, ValueError, RecursionError) as exc:
+                raise UnknownCall(f"the call has no canonical encoding: {exc}") from exc
+            block, content = self._apply_block([tx])
+            self._persist(block, content)
+            applied = block.transactions[0]
+            return TxReceipt(tx, applied.status, applied.error, block.height)
 
     # --------------------------------------------------------------- internals
-
-    def _submit_locked(self, tx: LedgerTransaction) -> TxReceipt:
-        is_create, account = _faucet_creation(tx)
-        if is_create:
-            if account is None:
-                raise UnknownSender(f"no well-formed account id in {tx.call!r}")
-            if account in self._accounts_submitted:
-                raise AccountExists(f"account {account} already exists")
-            expected = self._nonces_submitted.get(FAUCET_ACCOUNT, 0) + 1
-            tx = LedgerTransaction(FAUCET_ACCOUNT, tx.call, expected)
-            self._accounts_submitted.add(account)
-        else:
-            if tx.sender not in self._accounts_submitted:
-                raise UnknownSender(f"sender {tx.sender} is not a known account")
-            expected = self._nonces_submitted.get(tx.sender, 0) + 1
-            if tx.nonce != expected:
-                raise BadNonce(f"nonce {tx.nonce} from {tx.sender}, expected {expected}")
-        self._nonces_submitted[tx.sender] = tx.nonce
-        receipt = TxReceipt(tx)
-        self._pending.append((tx, receipt))
-        if len(self._pending) >= self._batch_size:
-            self._commit_locked()
-        return receipt
-
-    def _commit_locked(self) -> Block:
-        pending, self._pending = self._pending, []
-        block, content = self._apply_block([tx for tx, _ in pending])
-        self._persist(block, content)
-        for tx_index, ((_, receipt), applied) in enumerate(zip(pending, block.transactions)):
-            receipt.status = applied.status
-            receipt.error = applied.error
-            receipt.height = block.height
-            receipt.tx_index = tx_index
-        return block
 
     def _apply_block(self, txs: list[LedgerTransaction]) -> tuple[Block, bytes]:
         """Execute transactions and seal the resulting block. Deterministic.
@@ -433,9 +400,6 @@ class Ledger:
                     raise ChainCorrupt(f"replay diverged from stored block at height {height}")
                 # an anchor line must end in a newline, or the next append would join it
                 anchor = (start, end) if end - start > len(raw) else None
-        # resync submission-time views with the committed state
-        self._accounts_submitted = set(self._accounts)
-        self._nonces_submitted = dict(self._nonces)
         if anchor is not None and due <= 0 and self._checkpoint is not None:
             self._write_checkpoint(*anchor, sha.hexdigest())
 

@@ -49,14 +49,12 @@ def cycle_model() -> StateMachineModel:
     return validate_model(CYCLE_DOC)
 
 
-def make_world(path=None, batch_size=1, accounts=(ALICE, BOB, CARA)):
+def make_world(path=None, accounts=(ALICE, BOB, CARA)):
     """In-memory (or file-backed) ledger + registry + store with funded accounts."""
     registry = Registry()
-    ledger = Ledger(registry, path=path, batch_size=batch_size)
+    ledger = Ledger(registry, path=path)
     for account in accounts:
         ledger.create_account(account)
-    if ledger._pending:
-        ledger.commit_block()
     store = ContentStore()
     return SimpleNamespace(ledger=ledger, registry=registry, store=store)
 
@@ -66,11 +64,8 @@ def engine_for(world, account: str) -> Engine:
 
 
 def raw_submit(ledger: Ledger, sender: str, call: dict) -> TxReceipt:
-    """Submit a hand-built call and wait for its on-chain outcome."""
-    receipt = ledger.submit(LedgerTransaction(sender, call, ledger.next_nonce(sender)))
-    if receipt.status == "pending":
-        ledger.commit_block()
-    return receipt
+    """Submit a hand-built call with the sender's next nonce; returns its on-chain outcome."""
+    return ledger.submit(LedgerTransaction(sender, call, ledger.next_nonce(sender)))
 
 
 def random_model(rng: random.Random, max_states=8, max_transitions=16,

@@ -202,10 +202,10 @@ class TestRestore:
             ledger.events_since(ZERO_CURSOR)
 
     def test_contract_without_snapshots_is_not_checkpointed(self, tmp_path):
-        from test_ledger import EchoContract, echo_ledger
+        from test_ledger import EchoContract, echo_ledger, tx
 
         path = tmp_path / "ledger.jsonl"
-        echo_ledger(path=path).commit_block()
+        echo_ledger(path=path).submit(tx(ALICE, 1))
         Ledger.open(path, EchoContract())
         assert not checkpoint_path(path).exists()
 

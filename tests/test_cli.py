@@ -91,6 +91,19 @@ class TestAccounts:
         assert str(account_file) in last_json(result)["detail"]
         assert (workdir / "ledger.jsonl").read_bytes() == ledger
 
+    def test_account_file_under_a_regular_file_is_checked_before_submitting(self, workdir):
+        assert invoke(workdir, "account", "new", "--no-save", seed=1).exit_code == 0
+        ledger = (workdir / "ledger.jsonl").read_bytes()
+        (workdir / "F").write_bytes(b"")
+        account_file = workdir / "F" / "acct.json"
+        result = runner.invoke(cli, ["--dir", str(workdir), "--seed", "1", "--account-file",
+                                     str(account_file), "account", "new"],
+                               catch_exceptions=False)
+        assert result.exit_code == EXIT_CODES["UnknownSender"]
+        assert last_json(result)["error"] == "UnknownSender"
+        assert str(account_file) in last_json(result)["detail"]
+        assert (workdir / "ledger.jsonl").read_bytes() == ledger
+
 
 class TestModelCommands:
     def test_register_prints_model_hash(self, workdir, funded):
@@ -101,6 +114,17 @@ class TestModelCommands:
         register_cycle(workdir)
         result = invoke(workdir, "model", "register", write_model(workdir, CYCLE_DOC))
         assert result.exit_code == EXIT_CODES["DuplicateModel"]
+
+    def test_name_with_no_encoding_is_unknown_call(self, workdir, funded):
+        # a lone surrogate, as an undecodable command-line byte arrives
+        ledger = (workdir / "ledger.jsonl").read_bytes()
+        result = invoke(workdir, "model", "register", write_model(workdir, CYCLE_DOC),
+                        "--name", "\udcff")
+        assert result.exit_code == EXIT_CODES["UnknownCall"]
+        assert last_json(result)["error"] == "UnknownCall"
+        assert (workdir / "ledger.jsonl").read_bytes() == ledger
+        register_cycle(workdir)
+        assert invoke(workdir, "chain", "verify").exit_code == 0
 
     def test_invalid_model_maps_to_dangling_transition_code(self, workdir, funded):
         doc = dict(MINIMAL_DOC, transitions=[{"id": "t1", "from": "A", "to": "Z"}])
@@ -324,6 +348,21 @@ class TestDemo:
         assert last_json(result)["error"] == "ChainCorrupt"
         assert str(target / name) in last_json(result)["detail"]
         assert sorted(target.rglob("*")) == before
+
+    @pytest.mark.parametrize("name", ["store", "exports"])
+    def test_content_dir_that_is_a_file_deletes_nothing(self, tmp_path, name):
+        target = tmp_path / "demo"
+        for stale in ("ledger.jsonl", "ledger.jsonl.checkpoint", "store/0x00", "exports/x.jsonl"):
+            path = target / (name if stale.startswith(name + "/") else stale)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"old")
+        before = {p: p.read_bytes() for p in target.rglob("*") if p.is_file()}
+        result = invoke(tmp_path, "demo", "multiparty", "--steps", "2",
+                        "--workdir", str(target))
+        assert result.exit_code == EXIT_CODES["MissingContent"]
+        assert last_json(result)["error"] == "MissingContent"
+        assert str(target / name) in last_json(result)["detail"]
+        assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == before
 
     def test_same_seed_twice_gives_identical_exports(self, tmp_path):
         outs = []

@@ -2,14 +2,18 @@
 
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statetrail.errors import (
     AccountExists,
     BadNonce,
     ChainCorrupt,
     InvalidCursor,
+    TrailError,
     UnknownCall,
     UnknownSender,
 )
@@ -23,9 +27,17 @@ from statetrail.ledger import (
 )
 
 from statetrail.model import model_hash
-from statetrail.registry import Descriptor, Registry, call_register_model
+from statetrail.registry import (
+    Descriptor,
+    Registry,
+    call_delegate_access,
+    call_register_instance,
+    call_register_model,
+    call_register_transition,
+    call_terminate_instance,
+)
 
-from conftest import ALICE, BOB, engine_for, make_world, minimal_model, raw_submit
+from conftest import ALICE, BOB, CARA, engine_for, make_world, minimal_model, raw_submit
 
 
 class EchoContract:
@@ -43,13 +55,23 @@ def echo_ledger(accounts=(ALICE, BOB), **kwargs) -> Ledger:
     ledger = Ledger(EchoContract(), **kwargs)
     for account in accounts:
         ledger.create_account(account)
-    if ledger._pending:
-        ledger.commit_block()
     return ledger
 
 
 def tx(sender, nonce, op="noop", **args):
     return LedgerTransaction(sender, {"op": op, "args": args}, nonce)
+
+
+def nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# values with no canonical encoding
+DEEP = nested(100_000)
+UNENCODABLE = {"surrogate": "\udcff", "nan": float("nan"), "bytes": b"x", "deep": DEEP}
 
 
 class TestSubmission:
@@ -111,6 +133,27 @@ class TestSubmission:
             ledger.submit(LedgerTransaction(FAUCET_ACCOUNT, call, 0))
         assert ledger.height == height and ledger.known_accounts() == {ALICE, BOB}
 
+    @pytest.mark.parametrize("nonce", [True, 1.0, "1", None])
+    def test_nonce_of_another_type_rejected(self, nonce):
+        ledger = echo_ledger()
+        height = ledger.height
+        with pytest.raises(BadNonce):
+            ledger.submit(tx(ALICE, nonce))
+        assert ledger.height == height and ledger.next_nonce(ALICE) == 1
+
+    @pytest.mark.parametrize("value", UNENCODABLE.values(), ids=UNENCODABLE.keys())
+    def test_call_with_no_encoding_rejected_before_it_applies(self, tmp_path, value):
+        path = tmp_path / "ledger.jsonl"
+        world = make_world(path=path)
+        engine = engine_for(world, ALICE)
+        mh = model_hash(minimal_model())
+        with pytest.raises(UnknownCall):
+            engine.submit_call(call_register_model(mh, Descriptor("m", value)))
+        assert not world.registry.has_model(mh) and world.ledger.next_nonce(ALICE) == 1
+        engine.submit_call(call_register_model(mh, Descriptor("m", "m")))
+        assert Ledger.open(path, Registry()).height == world.ledger.height == 4
+        assert verify_chain_file(path).ok
+
     def test_nonces_are_per_sender(self):
         ledger = echo_ledger()
         ledger.submit(tx(ALICE, 1))
@@ -129,12 +172,17 @@ class TestBlocks:
         assert genesis.transactions == []
 
     def test_empty_commit(self, tmp_path):
-        ledger = echo_ledger(path=tmp_path / "ledger.jsonl")
-        before = ledger.height
-        block = ledger.commit_block()
-        assert block.height == before + 1
+        # the ledger never writes an empty block after genesis, but a file may hold one
+        path = tmp_path / "ledger.jsonl"
+        echo_ledger(path=path)
+        regroup(path, [1, 0, 1])
+        assert verify_chain_file(path).ok
+        ledger = Ledger.open(path, EchoContract())
+        block = ledger.blocks[2]
         assert block.transactions == [] and block.events == []
-        assert verify_chain_file(tmp_path / "ledger.jsonl").ok
+        assert ledger.known_accounts() == {ALICE, BOB}
+        assert ledger.submit(tx(ALICE, 1)).height == 4
+        assert verify_chain_file(path).ok
 
     def test_failed_calls_stay_on_chain_without_events(self):
         ledger = echo_ledger()
@@ -145,20 +193,35 @@ class TestBlocks:
         assert block.transactions[0].status == "failed"
         assert block.events == []
 
-    def test_batch_mode_groups_transactions(self):
-        ledger = echo_ledger(batch_size=3)
-        r1 = ledger.submit(tx(ALICE, 1))
-        r2 = ledger.submit(tx(ALICE, 2))
-        assert r1.status == "pending" and r2.status == "pending"
-        r3 = ledger.submit(tx(ALICE, 3))
-        assert r1.height == r2.height == r3.height
-        assert [r1.tx_index, r2.tx_index, r3.tx_index] == [0, 1, 2]
+    def test_batch_mode_groups_transactions(self, tmp_path):
+        # a block of several transactions, as a file may hold, replays in order
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
+        for i in range(1, 4):
+            assert ledger.submit(tx(ALICE, i, op="emit", n=1)).height == 2 + i
+        regroup(path, [1, 1, 3])
+        assert verify_chain_file(path).ok
+        replayed = Ledger.open(path, EchoContract())
+        assert replayed.height == 3 and len(replayed.blocks[3].transactions) == 3
+        assert [e.position for e in replayed.events_since(ZERO_CURSOR)] == \
+               [(3, 0, 0), (3, 1, 0), (3, 2, 0)]
+        assert replayed.next_nonce(ALICE) == 4
 
-    def test_timestamps_monotone(self):
+    def test_receipt_is_an_immutable_record(self):
         ledger = echo_ledger()
-        for _ in range(4):
-            ledger.commit_block()
-        stamps = [b.timestamp for b in ledger.blocks]
+        receipt = ledger.submit(tx(ALICE, 1))
+        assert receipt == (tx(ALICE, 1), "ok", None, ledger.height) and receipt.ok
+        with pytest.raises(AttributeError):
+            receipt.status = "failed"
+
+    def test_timestamps_monotone(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
+        for i in range(1, 5):
+            ledger.submit(tx(ALICE, i))
+        regroup(path, [1, 0, 1, 2, 0, 2])  # seven blocks with genesis
+        stamps = [b.timestamp for b in Ledger.open(path, EchoContract()).blocks]
+        assert stamps == list(range(7))  # each block's height: monotone, no repeats
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
 
 
@@ -208,13 +271,39 @@ class TestEvents:
         with pytest.raises(InvalidCursor):
             ledger.events_since((999, 0, 0))
 
-    def test_positions_unique_and_ordered(self):
-        ledger = echo_ledger(batch_size=2)
+    def test_positions_unique_and_ordered(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
         for i in range(1, 7):
             ledger.submit(tx(ALICE, i, op="emit", n=2))
-        positions = [e.position for e in ledger.events_since(ZERO_CURSOR)]
+        regroup(path, [2, 2, 2, 2])  # two transactions of two events each per block
+        positions = [e.position for e in Ledger.open(path, EchoContract()).events_since(ZERO_CURSOR)]
         assert positions == sorted(positions)
         assert len(positions) == len(set(positions)) == 12
+
+
+def regroup(path, sizes):
+    """Rewrite the chain so that block k holds the transactions of the next sizes[k-1] blocks.
+
+    Genesis stays; events move with their transaction, and every hash and
+    link is recomputed, as a sequencer that grouped its calls would write
+    them. A size of 0 writes an empty block.
+    """
+    genesis, *rest = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert sum(sizes) == len(rest)
+    blocks = [genesis]
+    for height, size in enumerate(sizes, 1):
+        group, rest = rest[:size], rest[size:]
+        block = {
+            "events": [dict(e, height=height, tx_index=i)
+                       for i, b in enumerate(group) for e in b["events"]],
+            "height": height,
+            "prev_hash": blocks[-1]["block_hash"],
+            "timestamp": height,
+            "transactions": [t for b in group for t in b["transactions"]],
+        }
+        blocks.append(dict(block, block_hash=content_hash(block)))
+    path.write_bytes(b"".join(canonical_bytes(b) + b"\n" for b in blocks))
 
 
 def edit_block(path, height, edit, reseal=False):
@@ -352,12 +441,13 @@ class TestPersistence:
 
     def test_replay_of_a_batch_that_creates_and_uses_an_account(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
-        ledger = Ledger(EchoContract(), path=path, batch_size=3)
-        ledger.create_account(ALICE)
+        ledger = echo_ledger(accounts=(ALICE,), path=path)
         ledger.submit(tx(ALICE, 1))
         ledger.submit(tx(ALICE, 2))
-        assert ledger.height == 1
-        assert Ledger.open(path, EchoContract()).next_nonce(ALICE) == 3
+        regroup(path, [3])
+        replayed = Ledger.open(path, EchoContract())
+        assert replayed.height == 1 and replayed.next_nonce(ALICE) == 3
+        assert verify_chain_file(path).ok
 
     def test_observers_see_identical_event_bytes(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -489,3 +579,57 @@ class TestAdversarialFiles:
         ledger.create_account(ALICE)
         assert len(Ledger.open(path, EchoContract()).blocks) == 2
         assert verify_chain_file(path).ok
+
+
+HASHES = st.sampled_from(["0x" + c * 64 for c in "123"])
+DESCRIPTORS = st.builds(Descriptor, st.sampled_from(["d", ""]),
+                        st.text(max_size=4) | st.sampled_from(list(UNENCODABLE.values())))
+SUBMISSIONS = st.tuples(
+    st.sampled_from([ALICE, BOB]) | st.sampled_from(["0x" + "9" * 40, "bogus", None, 5, [ALICE]]),
+    st.one_of(
+        st.builds(call_register_model, HASHES, DESCRIPTORS),
+        st.builds(call_register_instance, HASHES, HASHES, DESCRIPTORS, HASHES),
+        st.builds(call_register_transition, HASHES, HASHES, HASHES),
+        st.builds(call_terminate_instance, HASHES),
+        st.builds(call_delegate_access, HASHES, st.sampled_from([ALICE, BOB])),
+    ),
+    # an integer is an offset from the sender's next nonce
+    st.integers(-1, 1) | st.sampled_from([True, 1.0, "1", None]),
+) | st.tuples(st.just(FAUCET_ACCOUNT),
+              st.builds(create_account_call,
+                        st.sampled_from([CARA, ALICE, "bogus", *UNENCODABLE.values()])),
+              st.just(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SUBMISSIONS, min_size=1, max_size=12))
+def test_whatever_submit_accepts_replay_accepts(submissions):
+    """A refused submission changes nothing; a replay accepts every accepted one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        registry = Registry()
+        ledger = Ledger(registry, path=path)
+        for account in (ALICE, BOB):
+            ledger.create_account(account)
+
+        def state(sender):
+            senders = [s for s in (ALICE, BOB, CARA, FAUCET_ACCOUNT, sender) if isinstance(s, str)]
+            return (ledger.height, path.read_bytes(), [ledger.next_nonce(s) for s in senders],
+                    registry.snapshot_bytes())
+
+        for sender, call, nonce in submissions:
+            if type(nonce) is int:
+                nonce += ledger.next_nonce(sender) if isinstance(sender, str) else 1
+            before = state(sender)
+            try:
+                receipt = ledger.submit(LedgerTransaction(sender, call, nonce))
+            except TrailError:
+                assert state(sender) == before  # refused: nothing changed
+                continue
+            data = path.read_bytes()
+            assert receipt.height == ledger.height == before[0] + 1
+            assert data.startswith(before[1]) and data.count(b"\n") == before[1].count(b"\n") + 1
+        replayed = Registry()
+        reopened = Ledger.open(path, replayed)
+        assert replayed.snapshot_bytes() == registry.snapshot_bytes()
+        assert reopened.events_since(ZERO_CURSOR) == ledger.events_since(ZERO_CURSOR)
