@@ -91,8 +91,6 @@ def cli(ctx, workdir, account, account_file, seed):
 
 def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
     cfg.ledger_path.parent.mkdir(parents=True, exist_ok=True)
-    if cfg.ledger_path.is_dir():
-        raise ChainCorrupt(f"the ledger file {cfg.ledger_path} is a directory")
     registry = Registry()
     ledger = Ledger.open(cfg.ledger_path, registry)
     return ledger, registry, DirectoryContentStore(cfg.store_path)

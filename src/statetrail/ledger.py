@@ -239,6 +239,8 @@ class Ledger:
         self._head_hash = ZERO_HASH
         self._accounts: set[str] = set()
         self._nonces: dict[str, int] = {}
+        if self._path is not None and self._path.is_dir():
+            raise ChainCorrupt(f"the ledger file {self._path} is a directory")
         if self._path is not None and self._path.exists():
             self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written

@@ -1,11 +1,12 @@
 """On-ledger registry for models, instances and transitions.
 
-The registry is a deterministic state machine executed inside ledger block
-application. It stores records keyed by content hash, enforces ownership
-and delegation, guarantees per-instance chain continuity (a transition's
+The registry is a deterministic state machine run inside ledger block
+application; `Registry.apply`, given a transaction's call, is its only way
+in. It stores records keyed by content hash, enforces ownership and
+delegation, guarantees per-instance chain continuity (a transition's
 pre-state must equal the instance's latest state) and emits one event per
-successful instance-level mutation. The registry never sees model
-semantics, only opaque hashes; termination is therefore always explicit.
+successful instance-level mutation. It never sees model semantics, only
+opaque hashes; termination is therefore always explicit.
 
 Call wire format (embedded in LedgerTransaction): canonical JSON
 {"op": name, "args": {...}} built by the call_* helpers below.
@@ -169,107 +170,80 @@ class Registry:
             if (name in _HASH_ARGS and not is_content_hash(value)
                     or name == "delegate" and not is_account_id(value)):
                 raise UnknownCall(f"malformed call argument {name!r}")
+        handler = self._HANDLERS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            raise UnknownCall(f"unknown registry operation {op!r}")
         try:
-            if op == "register_model":
-                self.register_model(sender, args["model_hash"],
-                                    validate_descriptor(args["descriptor"]),
-                                    timestamp=timestamp)
-                return []
-            if op == "register_instance":
-                record = self.register_instance(
-                    sender, args["instance_hash"], args["model_hash"],
-                    validate_descriptor(args["descriptor"]), args["initial_state_hash"],
-                    timestamp=timestamp)
-                return [(EVENT_INSTANCE_CREATED, {
-                    "emitter": sender,
-                    "initial_state": record.latest_state,
-                    "instance_hash": record.instance_hash,
-                    "model_hash": record.model_hash,
-                    "seq": 0,
-                })]
-            if op == "register_transition":
-                transition = self.register_transition(
-                    sender, args["instance_hash"], args["pre_state"], args["post_state"])
-                return [(EVENT_TRANSITION, {
-                    "emitter": sender,
-                    "instance_hash": transition.instance_hash,
-                    "post_state": transition.post_state,
-                    "pre_state": transition.pre_state,
-                    "seq": transition.seq,
-                })]
-            if op == "terminate_instance":
-                record = self.terminate_instance(sender, args["instance_hash"])
-                return [(EVENT_INSTANCE_TERMINATED, {
-                    "emitter": sender,
-                    "instance_hash": record.instance_hash,
-                    "seq": record.transition_count + 1,
-                })]
-            if op == "delegate_access":
-                self.delegate_access(sender, args["subject_hash"], args["delegate"])
-                return []
+            return handler(self, sender, args, timestamp)
         except KeyError as exc:
             raise UnknownCall(f"missing call argument {exc}") from exc
-        raise UnknownCall(f"unknown registry operation {op!r}")
 
     # ------------------------------------------------------------- operations
+    # Each handler reads its args in call order and runs its checks before
+    # any change: the first failing check names the error its block records.
 
-    def register_model(self, caller: str, model_hash: str, descriptor: Descriptor,
-                       *, timestamp: int = 0) -> ModelRecord:
-        if descriptor.id == "":
-            raise InvalidDescriptor("descriptor id must be a non-empty string")
+    def _register_model(self, sender: str, args: dict, timestamp: int) -> list:
+        model_hash, descriptor = args["model_hash"], validate_descriptor(args["descriptor"])
         if model_hash in self._models:
             raise DuplicateModel(f"model {model_hash} already registered")
-        record = ModelRecord(model_hash, caller, descriptor._replace(created_at=timestamp))
-        self._models[model_hash] = record
-        return record
+        self._models[model_hash] = ModelRecord(
+            model_hash, sender, descriptor._replace(created_at=timestamp))
+        return []
 
-    def register_instance(self, caller: str, instance_hash: str, model_hash: str,
-                          descriptor: Descriptor, initial_state_hash: str,
-                          *, timestamp: int = 0) -> InstanceRecord:
-        if descriptor.id == "":
-            raise InvalidDescriptor("descriptor id must be a non-empty string")
+    def _register_instance(self, sender: str, args: dict, timestamp: int) -> list:
+        instance_hash, model_hash = args["instance_hash"], args["model_hash"]
+        descriptor = validate_descriptor(args["descriptor"])
+        initial_state = args["initial_state_hash"]
         if model_hash not in self._models:
             raise UnknownModel(f"model {model_hash} not registered")
-        self._require_authorized(caller, model_hash, self._models[model_hash].owner)
+        self._require_authorized(sender, model_hash, self._models[model_hash].owner)
         if instance_hash in self._instances:
             raise DuplicateInstance(f"instance {instance_hash} already registered")
-        record = InstanceRecord(
-            instance_hash=instance_hash,
-            model_hash=model_hash,
-            owner=caller,
-            descriptor=descriptor._replace(created_at=timestamp),
-            status=InstanceStatus.ACTIVE,
-            latest_state=initial_state_hash,
-            transition_count=0,
-        )
-        self._instances[instance_hash] = record
+        self._instances[instance_hash] = InstanceRecord(
+            instance_hash, model_hash, sender, descriptor._replace(created_at=timestamp),
+            InstanceStatus.ACTIVE, initial_state, 0)
         self._transitions[instance_hash] = []
-        return record
+        return [(EVENT_INSTANCE_CREATED, {"emitter": sender, "initial_state": initial_state,
+                                          "instance_hash": instance_hash,
+                                          "model_hash": model_hash, "seq": 0})]
 
-    def register_transition(self, caller: str, instance_hash: str, pre_state: str,
-                            post_state: str) -> TransitionRecord:
-        record = self._active_instance(caller, instance_hash)
+    def _register_transition(self, sender: str, args: dict, timestamp: int) -> list:
+        instance_hash, pre_state, post_state = (
+            args["instance_hash"], args["pre_state"], args["post_state"])
+        record = self._active_instance(sender, instance_hash)
         if pre_state != record.latest_state:
             raise StaleChain(
                 f"pre-state {pre_state} does not match latest {record.latest_state}")
         seq = record.transition_count + 1
-        transition = TransitionRecord(instance_hash, pre_state, post_state, seq)
-        self._transitions[instance_hash].append(transition)
+        self._transitions[instance_hash].append(
+            TransitionRecord(instance_hash, pre_state, post_state, seq))
         record.latest_state = post_state
         record.transition_count = seq
-        return transition
+        return [(EVENT_TRANSITION, {"emitter": sender, "instance_hash": instance_hash,
+                                    "post_state": post_state, "pre_state": pre_state,
+                                    "seq": seq})]
 
-    def terminate_instance(self, caller: str, instance_hash: str) -> InstanceRecord:
-        record = self._active_instance(caller, instance_hash)
+    def _terminate_instance(self, sender: str, args: dict, timestamp: int) -> list:
+        record = self._active_instance(sender, args["instance_hash"])
         record.status = InstanceStatus.TERMINATED
-        return record
+        return [(EVENT_INSTANCE_TERMINATED, {"emitter": sender,
+                                             "instance_hash": record.instance_hash,
+                                             "seq": record.transition_count + 1})]
 
-    def delegate_access(self, caller: str, subject_hash: str, delegate: str) -> tuple[str, ...]:
-        owner = self.get_owner(subject_hash)
-        if caller != owner:
-            raise NotAuthorized(f"{caller} does not own {subject_hash}")
+    def _delegate_access(self, sender: str, args: dict, timestamp: int) -> list:
+        subject_hash, delegate = args["subject_hash"], args["delegate"]
+        if sender != self.get_owner(subject_hash):
+            raise NotAuthorized(f"{sender} does not own {subject_hash}")
         self._delegates.setdefault(subject_hash, set()).add(delegate)
-        return tuple(sorted(self._delegates[subject_hash]))
+        return []
+
+    _HANDLERS = {
+        "register_model": _register_model,
+        "register_instance": _register_instance,
+        "register_transition": _register_transition,
+        "terminate_instance": _terminate_instance,
+        "delegate_access": _delegate_access,
+    }
 
     # ------------------------------------------------------------------ reads
 

@@ -156,7 +156,7 @@ def import_protocol(data: bytes) -> InstanceProtocol:
     try:
         entries = [ProtocolEntry(**{name: raw[name] for name in EXPORT_FIELDS})
                    for raw in map(json.loads, data.splitlines())]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CorruptContent(f"not a protocol export: {exc!r}") from exc
     if not entries:
         raise CorruptContent("cannot import an empty protocol")
@@ -174,11 +174,15 @@ def import_protocol(data: bytes) -> InstanceProtocol:
 
 
 class Tracker:
-    """One party's view of every instance, rebuilt from ledger events."""
+    """One party's view of every instance, rebuilt from ledger events.
+
+    A tracker starts at the zero cursor and learns only from events: an
+    instance's entries are complete from its creation event on. `registry`
+    is accepted for the callers that pass one and is not read.
+    """
 
     def __init__(self, ledger: Ledger, registry: Registry, store):
         self.ledger = ledger
-        self.registry = registry
         self.store = store
         self.cursor: Cursor = ZERO_CURSOR
         self.protocols: dict[str, InstanceProtocol] = {}
@@ -196,21 +200,23 @@ class Tracker:
     def apply_event(self, event: EventRecord) -> ProtocolEntry | None:
         """Append the protocol entry corresponding to one ledger event.
 
-        Events must arrive in ledger total order; a sequence gap for a
-        known instance signals cursor misuse and raises OutOfOrderEvent.
-        Events for unseen instances are preceded by a registry backfill.
+        Events must arrive in ledger total order. A repeated creation, a
+        sequence gap, or an event for an instance whose creation this
+        tracker has not seen signals cursor misuse: it raises
+        OutOfOrderEvent and changes nothing.
         """
         if event.kind not in _ENTRY_FIELDS:
             return None
         kind, pre_key, post_key = _ENTRY_FIELDS[event.kind]
         payload = event.payload
         instance_hash = payload["instance_hash"]
+        protocol = self.protocols.get(instance_hash)
         if kind == KIND_CREATION:
-            if instance_hash in self.protocols:
+            if protocol is not None:
                 raise OutOfOrderEvent(f"duplicate creation for {instance_hash}")
-            self.protocols[instance_hash] = InstanceProtocol(instance_hash,
-                                                             payload["model_hash"])
-        protocol = self._known_protocol(instance_hash, payload["seq"])
+            protocol = InstanceProtocol(instance_hash, payload["model_hash"])
+        elif protocol is None:
+            raise OutOfOrderEvent(f"{kind} for {instance_hash}, whose creation was not seen")
         if payload["seq"] != protocol.next_seq:
             raise OutOfOrderEvent(
                 f"{kind} seq {payload['seq']} arrived, expected {protocol.next_seq}")
@@ -227,6 +233,7 @@ class Tracker:
             timestamp=event.timestamp,
         )
         protocol.entries.append(entry)
+        self.protocols[instance_hash] = protocol
         return entry
 
     def verify_protocol(self, instance_hash: str) -> list[str]:
@@ -241,42 +248,6 @@ class Tracker:
 
     def export(self, instance_hash: str) -> bytes:
         return export_protocol(self.protocols[instance_hash])
-
-    def _known_protocol(self, instance_hash: str, upcoming_seq: int) -> InstanceProtocol:
-        if instance_hash not in self.protocols:
-            self._backfill(instance_hash, upcoming_seq)
-        return self.protocols[instance_hash]
-
-    def _backfill(self, instance_hash: str, upcoming_seq: int) -> None:
-        """Reconstruct missed entries for an unseen instance from registry reads.
-
-        Backfilled entries carry no block position; only the metadata the
-        registry retains (creation timestamp, owner) is filled in.
-        """
-        record = self.registry.get_instance(instance_hash)
-        transitions = self.registry.get_transitions(instance_hash)
-        protocol = InstanceProtocol(instance_hash, record.model_hash)
-        protocol.entries.append(ProtocolEntry(
-            kind=KIND_CREATION,
-            instance_hash=instance_hash,
-            model_hash=record.model_hash,
-            seq=0,
-            post_state=transitions[0].pre_state if transitions else record.latest_state,
-            emitter=record.owner,
-            timestamp=record.descriptor.created_at,
-        ))
-        for transition in transitions:
-            if transition.seq >= upcoming_seq:
-                break
-            protocol.entries.append(ProtocolEntry(
-                kind=KIND_TRANSITION,
-                instance_hash=instance_hash,
-                model_hash=record.model_hash,
-                seq=transition.seq,
-                pre_state=transition.pre_state,
-                post_state=transition.post_state,
-            ))
-        self.protocols[instance_hash] = protocol
 
 
 def _resolve(store, key: str) -> tuple[bytes | None, str | None]:

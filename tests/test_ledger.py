@@ -572,6 +572,14 @@ class TestAdversarialFiles:
         report = verify_chain_file(path)
         assert not report.ok and report.first_bad_height == 2
 
+    def test_path_that_is_a_directory_is_chain_corrupt(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.mkdir()
+        with pytest.raises(ChainCorrupt, match="is a directory"):
+            Ledger.open(path, Registry())
+        # nothing is written, neither inside the directory nor a checkpoint beside it
+        assert list(tmp_path.rglob("*")) == [path]
+
     def test_empty_file_gets_a_genesis_block(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.touch()

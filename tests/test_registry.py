@@ -23,6 +23,8 @@ from statetrail.registry import (
     InstanceStatus,
     Registry,
     call_delegate_access,
+    call_register_instance,
+    call_register_model,
     call_register_transition,
     call_terminate_instance,
 )
@@ -39,33 +41,35 @@ def h(label: str) -> str:
 
 def fresh_registry_with_model(owner=ALICE) -> Registry:
     registry = Registry()
-    registry.register_model(owner, H_MODEL, Descriptor(id="m-1", name="fixture"))
+    registry.apply(owner, call_register_model(H_MODEL, Descriptor(id="m-1", name="fixture")), 0)
     return registry
 
 
 def with_instance(owner=ALICE, registry=None) -> Registry:
     registry = registry or fresh_registry_with_model(owner)
-    registry.register_instance(owner, H_INSTANCE, H_MODEL,
-                               Descriptor(id="i-1", name="fixture"), h("s0"))
+    registry.apply(owner, call_register_instance(
+        H_INSTANCE, H_MODEL, Descriptor(id="i-1", name="fixture"), h("s0")), 0)
     return registry
 
 
 class TestRegisterModel:
     def test_fresh_model_owned_by_caller(self):
         registry = Registry()
-        record = registry.register_model(ALICE, H_MODEL, Descriptor(id="m", name="m"))
+        assert registry.apply(ALICE, call_register_model(H_MODEL, Descriptor(id="m", name="m")),
+                              0) == []
+        record = registry.get_model(H_MODEL)
         assert record.owner == ALICE
-        assert registry.get_model(H_MODEL).model_hash == H_MODEL
+        assert record.model_hash == H_MODEL
 
     def test_duplicate_model(self):
         registry = fresh_registry_with_model()
         with pytest.raises(DuplicateModel):
-            registry.register_model(BOB, H_MODEL, Descriptor(id="m2", name="m2"))
+            registry.apply(BOB, call_register_model(H_MODEL, Descriptor(id="m2", name="m2")), 0)
 
     def test_empty_descriptor_id(self):
         registry = Registry()
         with pytest.raises(InvalidDescriptor):
-            registry.register_model(ALICE, H_MODEL, Descriptor(id="", name="x"))
+            registry.apply(ALICE, call_register_model(H_MODEL, Descriptor(id="", name="x")), 0)
 
 
 class TestRegisterInstance:
@@ -80,20 +84,20 @@ class TestRegisterInstance:
     def test_non_owner_rejected(self):
         registry = fresh_registry_with_model()
         with pytest.raises(NotAuthorized):
-            registry.register_instance(BOB, H_INSTANCE, H_MODEL,
-                                       Descriptor(id="i", name="i"), h("s0"))
+            registry.apply(BOB, call_register_instance(
+                H_INSTANCE, H_MODEL, Descriptor(id="i", name="i"), h("s0")), 0)
 
     def test_unknown_model(self):
         registry = Registry()
         with pytest.raises(UnknownModel):
-            registry.register_instance(ALICE, H_INSTANCE, h("missing"),
-                                       Descriptor(id="i", name="i"), h("s0"))
+            registry.apply(ALICE, call_register_instance(
+                H_INSTANCE, h("missing"), Descriptor(id="i", name="i"), h("s0")), 0)
 
     def test_duplicate_instance(self):
         registry = with_instance()
         with pytest.raises(DuplicateInstance):
-            registry.register_instance(ALICE, H_INSTANCE, H_MODEL,
-                                       Descriptor(id="i2", name="i2"), h("s0"))
+            registry.apply(ALICE, call_register_instance(
+                H_INSTANCE, H_MODEL, Descriptor(id="i2", name="i2"), h("s0")), 0)
 
 
 class TestRegisterTransition:
@@ -111,39 +115,41 @@ class TestRegisterTransition:
     def test_stale_pre_state(self):
         registry = with_instance()
         for i in range(3):
-            registry.register_transition(ALICE, H_INSTANCE, h(f"s{i}"), h(f"s{i + 1}"))
+            registry.apply(ALICE, call_register_transition(H_INSTANCE, h(f"s{i}"), h(f"s{i + 1}")),
+                           0)
         with pytest.raises(StaleChain):
-            registry.register_transition(ALICE, H_INSTANCE, h("s1"), h("s9"))
+            registry.apply(ALICE, call_register_transition(H_INSTANCE, h("s1"), h("s9")), 0)
 
     def test_terminated_instance(self):
         registry = with_instance()
-        registry.terminate_instance(ALICE, H_INSTANCE)
+        registry.apply(ALICE, call_terminate_instance(H_INSTANCE), 0)
         with pytest.raises(InstanceTerminated):
-            registry.register_transition(ALICE, H_INSTANCE, h("s0"), h("s1"))
+            registry.apply(ALICE, call_register_transition(H_INSTANCE, h("s0"), h("s1")), 0)
 
     def test_unknown_instance(self):
         registry = fresh_registry_with_model()
         with pytest.raises(UnknownInstance):
-            registry.register_transition(ALICE, h("ghost"), h("s0"), h("s1"))
+            registry.apply(ALICE, call_register_transition(h("ghost"), h("s0"), h("s1")), 0)
 
 
 class TestTerminate:
     def test_owner_terminates(self):
         registry = with_instance()
-        record = registry.terminate_instance(ALICE, H_INSTANCE)
-        assert record.status is InstanceStatus.TERMINATED
+        assert registry.apply(ALICE, call_terminate_instance(H_INSTANCE), 0) == [
+            ("InstanceTerminated", {"emitter": ALICE, "instance_hash": H_INSTANCE, "seq": 1})]
+        assert registry.get_instance(H_INSTANCE).status is InstanceStatus.TERMINATED
 
     def test_double_termination(self):
         registry = with_instance()
-        registry.terminate_instance(ALICE, H_INSTANCE)
+        registry.apply(ALICE, call_terminate_instance(H_INSTANCE), 0)
         with pytest.raises(InstanceTerminated):
-            registry.terminate_instance(ALICE, H_INSTANCE)
+            registry.apply(ALICE, call_terminate_instance(H_INSTANCE), 0)
 
     def test_delegate_terminates_after_delegation(self):
         registry = with_instance()
-        registry.delegate_access(ALICE, H_INSTANCE, BOB)
-        record = registry.terminate_instance(BOB, H_INSTANCE)
-        assert record.status is InstanceStatus.TERMINATED
+        registry.apply(ALICE, call_delegate_access(H_INSTANCE, BOB), 0)
+        registry.apply(BOB, call_terminate_instance(H_INSTANCE), 0)
+        assert registry.get_instance(H_INSTANCE).status is InstanceStatus.TERMINATED
 
 
 class TestOwnershipAndDelegation:
@@ -156,32 +162,32 @@ class TestOwnershipAndDelegation:
 
     def test_delegate_may_not_redelegate(self):
         registry = with_instance()
-        registry.delegate_access(ALICE, H_INSTANCE, BOB)
+        registry.apply(ALICE, call_delegate_access(H_INSTANCE, BOB), 0)
         with pytest.raises(NotAuthorized):
-            registry.delegate_access(BOB, H_INSTANCE, CARA)
+            registry.apply(BOB, call_delegate_access(H_INSTANCE, CARA), 0)
 
     def test_delegate_on_unknown_subject(self):
         registry = Registry()
         with pytest.raises(UnknownSubject):
-            registry.delegate_access(ALICE, h("nothing"), BOB)
+            registry.apply(ALICE, call_delegate_access(h("nothing"), BOB), 0)
 
     def test_model_delegate_creates_instance(self):
         registry = fresh_registry_with_model()
-        registry.delegate_access(ALICE, H_MODEL, BOB)
-        record = registry.register_instance(BOB, H_INSTANCE, H_MODEL,
-                                            Descriptor(id="i", name="i"), h("s0"))
-        assert record.owner == BOB
+        registry.apply(ALICE, call_delegate_access(H_MODEL, BOB), 0)
+        registry.apply(BOB, call_register_instance(
+            H_INSTANCE, H_MODEL, Descriptor(id="i", name="i"), h("s0")), 0)
+        assert registry.get_instance(H_INSTANCE).owner == BOB
 
     def test_instance_delegate_registers_transition(self):
         registry = with_instance()
-        registry.delegate_access(ALICE, H_INSTANCE, BOB)
+        registry.apply(ALICE, call_delegate_access(H_INSTANCE, BOB), 0)
         [(_, payload)] = registry.apply(
             BOB, call_register_transition(H_INSTANCE, h("s0"), h("s1")), 0)
         assert payload["seq"] == 1 and payload["emitter"] == BOB
 
     def test_delegation_does_not_transfer_ownership(self):
         registry = with_instance()
-        registry.delegate_access(ALICE, H_INSTANCE, BOB)
+        registry.apply(ALICE, call_delegate_access(H_INSTANCE, BOB), 0)
         assert registry.get_owner(H_INSTANCE) == ALICE
 
 
@@ -222,7 +228,8 @@ class TestReads:
     def test_states_after_five_transitions(self):
         registry = with_instance()
         for i in range(5):
-            registry.register_transition(ALICE, H_INSTANCE, h(f"s{i}"), h(f"s{i + 1}"))
+            registry.apply(ALICE, call_register_transition(H_INSTANCE, h(f"s{i}"), h(f"s{i + 1}")),
+                           0)
         transitions = registry.get_transitions(H_INSTANCE)
         assert [t.seq for t in transitions] == [1, 2, 3, 4, 5]
         assert transitions[0].pre_state == h("s0")
@@ -269,20 +276,19 @@ def authorization_matrix():
 def run_authorization_cell(op: str, caller: str) -> bool:
     """Fresh scenario per cell; returns True when the call succeeded."""
     registry = fresh_registry_with_model(ALICE)
-    registry.delegate_access(ALICE, H_MODEL, BOB)
-    registry.register_instance(ALICE, H_INSTANCE, H_MODEL,
-                               Descriptor(id="i", name="i"), h("s0"))
-    registry.delegate_access(ALICE, H_INSTANCE, BOB)
+    for call in (call_delegate_access(H_MODEL, BOB),
+                 call_register_instance(H_INSTANCE, H_MODEL, Descriptor(id="i", name="i"), h("s0")),
+                 call_delegate_access(H_INSTANCE, BOB)):
+        registry.apply(ALICE, call, 0)
+    calls = {
+        "register_instance": call_register_instance(
+            h("fresh-instance"), H_MODEL, Descriptor(id="i2", name="i2"), h("s0")),
+        "register_transition": call_register_transition(H_INSTANCE, h("s0"), h("s1")),
+        "terminate_instance": call_terminate_instance(H_INSTANCE),
+        "delegate_access": call_delegate_access(H_INSTANCE, CARA),
+    }
     try:
-        if op == "register_instance":
-            registry.register_instance(caller, h("fresh-instance"), H_MODEL,
-                                       Descriptor(id="i2", name="i2"), h("s0"))
-        elif op == "register_transition":
-            registry.register_transition(caller, H_INSTANCE, h("s0"), h("s1"))
-        elif op == "terminate_instance":
-            registry.terminate_instance(caller, H_INSTANCE)
-        elif op == "delegate_access":
-            registry.delegate_access(caller, H_INSTANCE, CARA)
+        registry.apply(caller, calls[op], 0)
     except NotAuthorized:
         return False
     return True
@@ -301,7 +307,7 @@ class TestInvariants:
         latest = h("s0")
         for i in range(rng.randint(5, 15)):
             nxt = h(f"step{i}")
-            registry.register_transition(ALICE, H_INSTANCE, latest, nxt)
+            registry.apply(ALICE, call_register_transition(H_INSTANCE, latest, nxt), 0)
             latest = nxt
         record = registry.get_instance(H_INSTANCE)
         transitions = registry.get_transitions(H_INSTANCE)
@@ -315,7 +321,6 @@ class TestInvariants:
         # one success, then a stale duplicate of the same call
         engine = engine_for(world, ALICE)
         from statetrail.model import model_hash
-        from statetrail.registry import call_register_model
         model = cycle_model()
         engine.submit_call(call_register_model(model_hash(model), Descriptor("m", "m")))
         state = engine.instantiate(model, Descriptor(id="i", name="i"), 1)
@@ -331,7 +336,6 @@ class TestInvariants:
         world = make_world(path=path)
         engine = engine_for(world, ALICE)
         from statetrail.model import model_hash
-        from statetrail.registry import call_register_model
         model = cycle_model()
         engine.submit_call(call_register_model(model_hash(model), Descriptor("m", "m")))
         state = engine.instantiate(model, Descriptor(id="i", name="i"), 1)
@@ -349,13 +353,14 @@ class TestRestore:
     @staticmethod
     def busy_registry() -> Registry:
         registry = fresh_registry_with_model()
-        registry.register_instance(ALICE, H_INSTANCE, H_MODEL,
-                                   Descriptor("i", "run", {"k": "v"}), h("s0"), timestamp=3)
-        registry.delegate_access(ALICE, H_INSTANCE, BOB)
-        registry.delegate_access(ALICE, H_MODEL, CARA)
-        registry.register_transition(BOB, H_INSTANCE, h("s0"), h("s1"))
-        registry.register_instance(ALICE, h("other"), H_MODEL, Descriptor("o", "o"), h("o0"))
-        registry.terminate_instance(ALICE, h("other"))
+        registry.apply(ALICE, call_register_instance(
+            H_INSTANCE, H_MODEL, Descriptor("i", "run", {"k": "v"}), h("s0")), 3)
+        registry.apply(ALICE, call_delegate_access(H_INSTANCE, BOB), 0)
+        registry.apply(ALICE, call_delegate_access(H_MODEL, CARA), 0)
+        registry.apply(BOB, call_register_transition(H_INSTANCE, h("s0"), h("s1")), 0)
+        registry.apply(ALICE, call_register_instance(
+            h("other"), H_MODEL, Descriptor("o", "o"), h("o0")), 0)
+        registry.apply(ALICE, call_terminate_instance(h("other")), 0)
         return registry
 
     def test_round_trip(self):
@@ -365,11 +370,11 @@ class TestRestore:
         assert restored.snapshot_bytes() == registry.snapshot_bytes()
         assert restored.get_transitions(H_INSTANCE) == registry.get_transitions(H_INSTANCE)
         # the restored registry keeps enforcing the same rules
-        restored.register_transition(BOB, H_INSTANCE, h("s1"), h("s2"))
+        restored.apply(BOB, call_register_transition(H_INSTANCE, h("s1"), h("s2")), 0)
         with pytest.raises(InstanceTerminated):
-            restored.register_transition(ALICE, h("other"), h("o0"), h("o1"))
+            restored.apply(ALICE, call_register_transition(h("other"), h("o0"), h("o1")), 0)
         with pytest.raises(NotAuthorized):
-            restored.register_transition(CARA, H_INSTANCE, h("s2"), h("s3"))
+            restored.apply(CARA, call_register_transition(H_INSTANCE, h("s2"), h("s3")), 0)
 
     @pytest.mark.parametrize("edit", [
         lambda s: s.pop("models"),

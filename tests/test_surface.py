@@ -60,6 +60,21 @@ def test_package_exports():
     assert all(hasattr(statetrail, name) for name in statetrail.__all__)
 
 
+def test_registry_changes_only_through_apply():
+    assert [name for name in dir(statetrail.Registry) if not name.startswith("_")] == [
+        "apply",
+        "get_instance",
+        "get_model",
+        "get_owner",
+        "get_transitions",
+        "has_model",
+        "instance_hashes",
+        "restore",
+        "snapshot",
+        "snapshot_bytes",
+    ]
+
+
 def test_star_import_binds_every_export():
     namespace = {}
     exec("from statetrail import *", namespace)

@@ -1,14 +1,22 @@
 """Tracking: protocol reconstruction, verification, export, convergence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import statetrail.tracker as tracker_module
 from statetrail.engine import InstanceState, state_content, state_hash
 from statetrail.errors import CorruptContent, MissingContent, OutOfOrderEvent
-from statetrail.hashing import canonical_bytes, digest
+from statetrail.hashing import canonical_bytes, content_hash, digest
 from statetrail.ledger import EventRecord, ZERO_CURSOR
 from statetrail.model import canonical_serialize, model_hash, validate_model
-from statetrail.registry import Descriptor, call_register_model, call_register_transition
+from statetrail.registry import (
+    Descriptor,
+    call_delegate_access,
+    call_register_instance,
+    call_register_model,
+    call_register_transition,
+    call_terminate_instance,
+)
 from statetrail.store import ContentStore, DirectoryContentStore
 from statetrail.tracker import (
     EXPORT_FIELDS,
@@ -22,7 +30,7 @@ from statetrail.tracker import (
     verify_entry,
 )
 
-from conftest import ALICE, MINIMAL_DOC, cycle_model, engine_for, make_world, raw_submit
+from conftest import ALICE, BOB, MINIMAL_DOC, cycle_model, engine_for, make_world, raw_submit
 
 
 def tracked_world(steps=("ab", "bc", "ca"), terminate=True, model=None):
@@ -166,34 +174,26 @@ class TestApplyEvents:
         with pytest.raises(OutOfOrderEvent):
             tracker.apply_event(creation)
 
-    def test_backfill_for_unseen_instance(self):
-        world, engine, model, state, _ = tracked_world(steps=("ab", "bc"),
-                                                       terminate=False)
-        # late joiner: cursor starts after the first three events
+    def test_late_tracker_refuses_a_transition_of_an_unseen_instance(self):
+        world, _, _, _, _ = tracked_world(steps=("ab", "bc"), terminate=False)
+        # late joiner: the cursor skips the creation and the first transition
         late = Tracker(world.ledger, world.registry, world.store)
-        events = world.ledger.events_since(ZERO_CURSOR)
-        late.cursor = events[-2].position
-        late.catch_up()
-        protocol = late.protocols[state.instance_hash]
-        kinds = [e.kind for e in protocol.entries]
-        assert kinds == ["creation", "transition", "transition"]
-        # backfilled entries carry no block position
-        assert protocol.entries[0].height is None
-        assert protocol.entries[-1].height is not None
+        start = world.ledger.events_since(ZERO_CURSOR)[-2].position
+        late.cursor = start
+        with pytest.raises(OutOfOrderEvent):
+            late.catch_up()
+        assert late.cursor == start
+        assert late.protocols == {}
 
-    def test_backfill_for_instance_terminated_without_transitions(self):
-        # the initial state then comes from the instance's latest state
-        world, _, _, state, _ = tracked_world(steps=())
+    def test_late_tracker_refuses_a_termination_of_an_unseen_instance(self):
+        world, _, _, _, _ = tracked_world(steps=())
         late = Tracker(world.ledger, world.registry, world.store)
         created, terminated = world.ledger.events_since(ZERO_CURSOR)
         late.cursor = created.position
-        late.catch_up()
-        protocol = late.protocols[state.instance_hash]
-        assert [(e.kind, e.seq) for e in protocol.entries] == [
-            ("creation", 0), ("termination", 1)]
-        assert protocol.entries[0].post_state == state_hash(state)
-        assert protocol.entries[0].emitter == ALICE
-        assert late.verify_protocol(state.instance_hash) == [STATUS_VERIFIED] * 2
+        with pytest.raises(OutOfOrderEvent):
+            late.catch_up()
+        assert late.cursor == created.position
+        assert late.protocols == {}
 
 
 class TestVerification:
@@ -500,12 +500,13 @@ class TestExport:
         export_line(timestamp=5.0),
         export_line(status=None),
         export_line() + export_line(seq=[2]),
+        b"[" * 100000,
     ], ids=["empty", "blank-line", "not-json", "not-utf8", "no-fields", "list",
             "number", "missing-fields", "bad-second-line", "string-seq", "bool-seq",
             "float-seq", "null-seq", "unknown-kind", "null-kind", "number-instance-hash",
             "list-model-hash", "number-pre-state", "object-post-state", "number-emitter",
             "string-height", "bool-tx-index", "float-timestamp", "null-status",
-            "bad-second-entry"])
+            "bad-second-entry", "nested-too-deep"])
     def test_import_failure_is_corrupt_content(self, data):
         with pytest.raises(CorruptContent):
             import_protocol(data)
@@ -559,3 +560,47 @@ class TestConvergence:
         ]
         assert sorted(protocol_records) == sorted(chain_records)
         assert len(protocol_records) == len(set(protocol_records))
+
+
+def h(label) -> str:
+    return content_hash({"state": label})
+
+
+class TestLateTrackers:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(st.sampled_from(("create", "step", "end")),
+                                  st.integers(0, 2), st.sampled_from((ALICE, BOB))),
+                        max_size=14),
+           data=st.data())
+    def test_held_entries_equal_the_genesis_trackers(self, ops, data):
+        """Whatever committed cursor a tracker starts from, and whether its
+        catch-up raises or not, it holds only entries a tracker started at
+        genesis holds too."""
+        world = make_world()
+        model = h("model")
+        raw_submit(world.ledger, ALICE, call_register_model(model, Descriptor("m", "m")))
+        raw_submit(world.ledger, ALICE, call_delegate_access(model, BOB))
+        for n, (op, k, sender) in enumerate(ops):
+            instance = h(f"instance {k}")
+            if op == "create":
+                call = call_register_instance(instance, model, Descriptor("i", "i"), h(n))
+            elif op == "step":
+                pre = (world.registry.get_instance(instance).latest_state
+                       if instance in world.registry.instance_hashes() else h("none"))
+                call = call_register_transition(instance, pre, h(n))
+            else:
+                call = call_terminate_instance(instance)
+            raw_submit(world.ledger, sender, call)  # a failed call emits no event
+        genesis = Tracker(world.ledger, world.registry, world.store)
+        genesis.catch_up()
+        events = world.ledger.events_since(ZERO_CURSOR)
+        start = data.draw(st.sampled_from([ZERO_CURSOR] + [e.position for e in events]))
+        late = Tracker(world.ledger, world.registry, world.store)
+        late.cursor = start
+        try:
+            late.catch_up()
+        except OutOfOrderEvent:
+            assert start != ZERO_CURSOR
+        for instance, protocol in late.protocols.items():
+            for entry in protocol.entries:
+                assert entry == genesis.protocols[instance].entry_at(entry.seq)
