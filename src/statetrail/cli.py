@@ -22,7 +22,6 @@ from .engine import Engine, InstanceState, state_hash
 from .errors import (
     ChainCorrupt,
     CorruptContent,
-    MissingContent,
     TrailError,
     UnknownSender,
     UnknownSubject,
@@ -90,7 +89,6 @@ def cli(ctx, workdir, account, account_file, seed):
 
 
 def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
-    cfg.ledger_path.parent.mkdir(parents=True, exist_ok=True)
     registry = Registry()
     ledger = Ledger.open(cfg.ledger_path, registry)
     return ledger, registry, DirectoryContentStore(cfg.store_path)
@@ -110,18 +108,17 @@ def _sender(cfg: CliConfig) -> str:
     return sender
 
 
-def _engine(cfg: CliConfig) -> tuple[Engine, Ledger, Registry, DirectoryContentStore]:
-    ledger, registry, store = _services(cfg)
-    engine = Engine(ledger, registry, store, _sender(cfg))
-    return engine, ledger, registry, store
+def _engine(cfg: CliConfig) -> Engine:
+    return Engine(*_services(cfg), _sender(cfg))
 
 
 def _instance(cfg: CliConfig,
               instance_hash: str) -> tuple[Engine, InstanceState, StateMachineModel]:
     """Engine, latest state and model of an instance; the stored state must fit the model."""
-    engine, _, registry, store = _engine(cfg)
+    engine = _engine(cfg)
     state = engine.load_state(instance_hash)
-    machine = parse_model_bytes(store.get(registry.get_instance(instance_hash).model_hash))
+    machine = parse_model_bytes(
+        engine.store.get(engine.registry.get_instance(instance_hash).model_hash))
     if (state.instance_hash != instance_hash or state.current_state not in machine.states
             or set(state.variables) != set(machine.variables)):
         raise CorruptContent(f"latest state of {instance_hash} does not fit its model")
@@ -193,8 +190,8 @@ def model():
 def model_register(cfg: CliConfig, model_file, descriptor_id, descriptor_name):
     """Validate, hash, store and register a model file."""
     machine = load_model_file(model_file)
-    engine, _, _, store = _engine(cfg)
-    mh = store.put(canonical_serialize(machine))
+    engine = _engine(cfg)
+    mh = engine.store.put(canonical_serialize(machine))
     descriptor = Descriptor(id=descriptor_id or machine.name,
                             name=descriptor_name or machine.name)
     engine.submit_call(call_register_model(mh, descriptor))
@@ -207,8 +204,7 @@ def model_register(cfg: CliConfig, model_file, descriptor_id, descriptor_name):
 @click.pass_obj
 def delegate(cfg: CliConfig, subject_hash, delegate_account):
     """Grant an account access to a model or instance you own."""
-    engine, _, _, _ = _engine(cfg)
-    engine.submit_call(call_delegate_access(subject_hash, delegate_account))
+    _engine(cfg).submit_call(call_delegate_access(subject_hash, delegate_account))
     emit({"delegate": delegate_account, "subject": subject_hash})
 
 
@@ -228,8 +224,8 @@ def instance():
 @click.pass_obj
 def instance_create(cfg: CliConfig, model_hash_arg, nonce, descriptor_id, descriptor_name):
     """Instantiate a registered model and register the instance."""
-    engine, _, _, store = _engine(cfg)
-    machine = parse_model_bytes(store.get(model_hash_arg))
+    engine = _engine(cfg)
+    machine = parse_model_bytes(engine.store.get(model_hash_arg))
     descriptor = Descriptor(id=descriptor_id or f"{machine.name}-{nonce}",
                             name=descriptor_name or machine.name)
     state = engine.instantiate(machine, descriptor, nonce)
@@ -274,8 +270,7 @@ def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):
 @click.pass_obj
 def instance_terminate(cfg: CliConfig, instance_hash):
     """Terminate an active instance."""
-    engine, _, _, _ = _engine(cfg)
-    engine.terminate(instance_hash)
+    _engine(cfg).terminate(instance_hash)
     emit({"instance_hash": instance_hash, "status": "terminated"})
 
 
@@ -356,43 +351,24 @@ def demo():
 
 
 @demo.command("multiparty")
-@click.option("--parties", default=3, show_default=True, type=int)
-@click.option("--steps", default=50, show_default=True, type=int)
+@click.option("--parties", default=3, show_default=True, type=click.IntRange(min=2))
+@click.option("--steps", default=50, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", "demo_seed", default=7, show_default=True, type=int)
 @click.option("--workdir", default=None, type=click.Path(file_okay=False),
-              help="Scenario directory; defaults to a fresh temp dir.")
+              help="Scenario directory, reset first; defaults to a fresh temp dir.")
 def demo_multiparty(parties, steps, demo_seed, workdir):
     """Full multi-party scenario; asserts convergence of all trackers."""
-    import shutil
     import tempfile
 
-    from .demo import EXPORTS_DIR, multiparty
+    from .demo import multiparty
 
-    if workdir is None:
-        target = Path(tempfile.mkdtemp(prefix="statetrail-demo-"))
-    else:
-        target = Path(workdir)
-        stale_files = (target / LEDGER_FILE, checkpoint_path(target / LEDGER_FILE))
-        stale_dirs = (target / STORE_DIR, target / EXPORTS_DIR)
-        for stale in stale_files:
-            if stale.is_dir():
-                raise ChainCorrupt(f"the ledger file {stale} is a directory")
-        for stale in stale_dirs:
-            if stale.exists() and not stale.is_dir():
-                raise MissingContent(f"{stale} is not a directory")
-        for stale in stale_files:
-            stale.unlink(missing_ok=True)
-        for stale in stale_dirs:
-            if stale.exists():
-                shutil.rmtree(stale)
+    target = Path(tempfile.mkdtemp(prefix="statetrail-demo-") if workdir is None else workdir)
     summary = multiparty(parties=parties, steps=steps, seed=demo_seed, workdir=target)
     click.echo(f"workdir: {target}", err=True)
     emit(summary)
 
 
-def main() -> None:
-    cli(auto_envvar_prefix="STATETRAIL")
-
+main = cli  # the console script's entry point
 
 if __name__ == "__main__":
     main()

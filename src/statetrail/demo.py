@@ -12,12 +12,13 @@ byte-identical; anything else raises ConvergenceFailed.
 from __future__ import annotations
 
 import random
+import shutil
 from pathlib import Path
 
 from .engine import Engine, InstanceState, enabled_transitions
-from .errors import ConvergenceFailed
+from .errors import ChainCorrupt, ConvergenceFailed, MissingContent
 from .hashing import content_hash, digest
-from .ledger import LEDGER_FILE, Ledger
+from .ledger import LEDGER_FILE, Ledger, checkpoint_path
 from .model import StateMachineModel, canonical_serialize, validate_model
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
 from .store import STORE_DIR, DirectoryContentStore
@@ -63,14 +64,29 @@ def _step(engine: Engine, model: StateMachineModel, state: InstanceState,
     return post
 
 
-def multiparty(parties: int = 3, steps: int = 50, seed: int = 7,
-               workdir: str | Path = ".") -> dict:
-    """Run the full scenario; returns a summary dict, raises on divergence."""
-    if parties < 2:
-        raise ValueError("the scenario needs at least two parties")
+def multiparty(parties: int = 3, steps: int = 50, seed: int = 7, *,
+               workdir: str | Path) -> dict:
+    """Run the full scenario in a reset `workdir`; returns a summary, raises on divergence.
+
+    The reset deletes an earlier run's ledger, checkpoint, store and exports,
+    none of them unless each is absent or of its kind (store and exports real dirs).
+    """
+    if parties < 2 or steps < 0:
+        raise ValueError(f"the scenario needs parties >= 2 and steps >= 0, not {parties}, {steps}")
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     ledger_path = workdir / LEDGER_FILE
+    stale = (ledger_path, checkpoint_path(ledger_path), workdir / STORE_DIR, workdir / EXPORTS_DIR)
+    for path in stale[:2]:
+        if path.is_dir():
+            raise ChainCorrupt(f"the ledger file {path} is a directory")
+    for path in stale[2:]:
+        if path.is_symlink() or (path.exists() and not path.is_dir()):
+            raise MissingContent(f"{path} is not a directory")
+    for path in stale:
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.exists():
+            path.unlink()
     store = DirectoryContentStore(workdir / STORE_DIR)
 
     registry = Registry()

@@ -239,10 +239,15 @@ class Ledger:
         self._head_hash = ZERO_HASH
         self._accounts: set[str] = set()
         self._nonces: dict[str, int] = {}
-        if self._path is not None and self._path.is_dir():
-            raise ChainCorrupt(f"the ledger file {self._path} is a directory")
-        if self._path is not None and self._path.exists():
-            self._replay_file()
+        if self._path is not None:
+            try:
+                os.makedirs(self._path.parent, exist_ok=True)
+            except OSError as exc:
+                raise ChainCorrupt(f"no directory for the ledger file: {exc}") from None
+            if self._path.is_dir():
+                raise ChainCorrupt(f"the ledger file {self._path} is a directory")
+            if self._path.exists():
+                self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written
             self._persist(*self._apply_block([]))
 
@@ -286,7 +291,9 @@ class Ledger:
         """Check one transaction, then commit it as a block of its own.
 
         A refused transaction raises and changes nothing. A faucet account
-        creation gets the faucet's next nonce, whatever `tx` holds.
+        creation gets the faucet's next nonce, whatever `tx` holds. Like a
+        replay, it applies (and returns in the receipt) the call decoded from
+        its canonical encoding.
         """
         with self._lock:
             is_create, account = _faucet_creation(tx)
@@ -304,9 +311,10 @@ class Ledger:
                     raise BadNonce(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}")
             # the block's encoding must not fail after the call has been applied
             try:
-                canonical_bytes(tx.call)
+                call = _DECODER.raw_decode(canonical_bytes(tx.call).decode("utf-8"))[0]
             except (TypeError, ValueError, RecursionError) as exc:
                 raise UnknownCall(f"the call has no canonical encoding: {exc}") from exc
+            tx = LedgerTransaction(tx.sender, call, tx.nonce)
             block, content = self._apply_block([tx])
             self._persist(block, content)
             applied = block.transactions[0]

@@ -2,14 +2,16 @@
 
 import json
 import random
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from statetrail.cli import cli
+from statetrail.cli import cli, main
+from statetrail.demo import multiparty
 from statetrail.errors import EXIT_CODES
 
-from conftest import CYCLE_DOC, MINIMAL_DOC
+from conftest import ALICE, CYCLE_DOC, MINIMAL_DOC
 
 runner = CliRunner()
 
@@ -364,6 +366,19 @@ class TestDemo:
         assert str(target / name) in last_json(result)["detail"]
         assert {p: p.read_bytes() for p in target.rglob("*") if p.is_file()} == before
 
+    def test_content_dir_that_is_a_symbolic_link_deletes_nothing(self, tmp_path):
+        target, elsewhere = tmp_path / "demo", tmp_path / "elsewhere"
+        (target / "exports").mkdir(parents=True)
+        elsewhere.mkdir()
+        (elsewhere / "0x00").write_bytes(b"old")
+        (target / "store").symlink_to(elsewhere, target_is_directory=True)
+        before = sorted(tmp_path.rglob("*"))
+        result = invoke(tmp_path, "demo", "multiparty", "--steps", "2",
+                        "--workdir", str(target))
+        assert result.exit_code == EXIT_CODES["MissingContent"]
+        assert str(target / "store") in last_json(result)["detail"]
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_same_seed_twice_gives_identical_exports(self, tmp_path):
         outs = []
         for sub in ("one", "two"):
@@ -459,6 +474,30 @@ class TestDemo:
             digests.append(last_json(result)["export_digest"])
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("option", [("--parties", "1"), ("--parties", "0"),
+                                        ("--steps", "-1")],
+                             ids=["one-party", "no-party", "negative-steps"])
+    def test_out_of_range_option_is_a_usage_error(self, tmp_path, option):
+        result = runner.invoke(cli, ["demo", "multiparty", *option,
+                                     "--workdir", str(tmp_path / "demo")])
+        assert result.exit_code == 2
+        assert not (tmp_path / "demo").exists()
+
+    @pytest.mark.parametrize("kwargs", [{"parties": 1}, {"steps": -1}],
+                             ids=["one-party", "negative-steps"])
+    def test_library_refuses_out_of_range_before_touching_the_workdir(self, tmp_path, kwargs):
+        old = tmp_path / "demo" / "ledger.jsonl"
+        old.parent.mkdir()
+        old.write_bytes(b"old")
+        with pytest.raises(ValueError):
+            multiparty(workdir=tmp_path / "demo", **kwargs)
+        assert list(tmp_path.rglob("*")) == [old.parent, old]
+        assert old.read_bytes() == b"old"
+
+    def test_library_rerun_in_same_workdir_is_reproducible(self, tmp_path):
+        first = multiparty(steps=2, workdir=tmp_path / "demo")
+        assert multiparty(steps=2, workdir=tmp_path / "demo") == first
+
 
 class TestDelegation:
     def test_two_party_flow_via_account_flags(self, workdir):
@@ -504,3 +543,86 @@ class TestEnvironment:
                                catch_exceptions=False)
         assert result.exit_code == 0
         assert (tmp_path / "ledger.jsonl").exists()
+
+    def test_former_option_variables_are_not_read(self, tmp_path, monkeypatch, capsys):
+        # the variables click derives for every option under a STATETRAIL
+        # prefix, each set to a value that would change the outcome
+        former = {
+            "STATETRAIL_ACCOUNT": ALICE,
+            "STATETRAIL_ACCOUNT_FILE": str(tmp_path / "acct.json"),
+            "STATETRAIL_SEED": "5",
+            "STATETRAIL_ACCOUNT_NEW_SAVE": "false",
+            "STATETRAIL_MODEL_REGISTER_ID": "x",
+            "STATETRAIL_MODEL_REGISTER_NAME": "x",
+            "STATETRAIL_INSTANCE_CREATE_NONCE": "9",
+            "STATETRAIL_INSTANCE_CREATE_ID": "x",
+            "STATETRAIL_INSTANCE_CREATE_NAME": "x",
+            "STATETRAIL_INSTANCE_RUN_STEPS": "1",
+            "STATETRAIL_INSTANCE_RUN_SEED": "1",
+            "STATETRAIL_DEMO_MULTIPARTY_PARTIES": "2",
+            "STATETRAIL_DEMO_MULTIPARTY_STEPS": "2",
+            "STATETRAIL_DEMO_MULTIPARTY_SEED": "8",
+            "STATETRAIL_DEMO_MULTIPARTY_WORKDIR": str(tmp_path / "elsewhere"),
+        }
+        argv = ["statetrail", "demo", "multiparty", "--workdir", str(tmp_path / "demo")]
+        monkeypatch.setattr(sys, "argv", argv)
+        outputs = []
+        for env in ({}, former):
+            for name in former:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            with pytest.raises(SystemExit) as exited:
+                main()
+            assert exited.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        summary = json.loads(outputs[0])
+        assert summary["parties"] == 3 and set(summary["entries"].values()) == {52}
+
+
+H = "0x" + "e" * 64
+HOSTILE_COMMANDS = {
+    "track": ["track"],
+    "chain-verify": ["chain", "verify"],
+    "protocol-verify": ["protocol", "verify", H],
+    "protocol-export": ["protocol", "export", H],
+    "instance-step": ["instance", "step", H, "ab"],
+    "instance-run": ["instance", "run", H],
+    "instance-terminate": ["instance", "terminate", H],
+    "instance-create": ["instance", "create", H, "--nonce", "1"],
+    "model-register": ["model", "register", "MODEL"],
+    "account-new": ["account", "new"],
+    "delegate": ["delegate", H, ALICE],
+    "demo-multiparty": ["demo", "multiparty", "--steps", "2", "--workdir", "WORKDIR"],
+}
+
+
+def dir_under_a_file(tmp_path):
+    (tmp_path / "F").write_bytes(b"")
+    return tmp_path / "F" / "sub"
+
+
+def ledger_is_a_directory(tmp_path):
+    (tmp_path / "wd" / "ledger.jsonl").mkdir(parents=True)
+    return tmp_path / "wd"
+
+
+def store_is_a_file(tmp_path):
+    (tmp_path / "wd").mkdir()
+    (tmp_path / "wd" / "store").write_bytes(b"")
+    return tmp_path / "wd"
+
+
+@pytest.mark.parametrize("layout", [dir_under_a_file, ledger_is_a_directory, store_is_a_file],
+                         ids=lambda layout: layout.__name__.replace("_", "-"))
+@pytest.mark.parametrize("command", HOSTILE_COMMANDS.values(), ids=HOSTILE_COMMANDS.keys())
+def test_hostile_workdir_ends_in_a_named_error(tmp_path, layout, command):
+    workdir = layout(tmp_path)
+    model_file = write_model(tmp_path, CYCLE_DOC)
+    args = [{"MODEL": model_file, "WORKDIR": str(workdir)}.get(a, a) for a in command]
+    result = runner.invoke(cli, ["--dir", str(workdir), "--account", ALICE, *args])
+    assert result.exit_code in EXIT_CODES.values(), result.output
+    error = json.loads(result.stdout.splitlines()[-1])
+    assert error.keys() == {"detail", "error"}
+    assert EXIT_CODES[error["error"]] == result.exit_code

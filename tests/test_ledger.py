@@ -449,6 +449,25 @@ class TestPersistence:
         assert replayed.height == 1 and replayed.next_nonce(ALICE) == 3
         assert verify_chain_file(path).ok
 
+    @pytest.mark.parametrize("descriptor", [
+        {"id": "m", "name": "m", "extra": {1: "x"}},
+        {"id": "m", "name": "m", "extra": {True: "x"}},
+        {"id": "m", "name": "e\u0301", "extra": {"\u00e9": "a", "e\u0301": "b"}},
+        {"id": "e\u0301", "name": "m"},
+    ], ids=["int-key", "bool-key", "nfc-colliding-keys", "non-nfc-id"])
+    def test_writer_applies_the_call_a_replay_applies(self, tmp_path, descriptor):
+        # JSON turns a key into a string and the canonical form is NFC, so the
+        # call a line holds can differ from the object that was submitted
+        path = tmp_path / "ledger.jsonl"
+        world = make_world(path=path)
+        call = {"op": "register_model",
+                "args": {"model_hash": model_hash(minimal_model()), "descriptor": descriptor}}
+        receipt = raw_submit(world.ledger, ALICE, call)
+        assert receipt.tx.call == json.loads(canonical_bytes(call))
+        replayed = Registry()
+        Ledger.open(path, replayed)
+        assert replayed.snapshot() == world.registry.snapshot()
+
     def test_observers_see_identical_event_bytes(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = echo_ledger(path=path)
@@ -579,6 +598,19 @@ class TestAdversarialFiles:
             Ledger.open(path, Registry())
         # nothing is written, neither inside the directory nor a checkpoint beside it
         assert list(tmp_path.rglob("*")) == [path]
+
+    def test_missing_directories_are_created(self, tmp_path):
+        path = tmp_path / "a" / "b" / "ledger.jsonl"
+        Ledger.open(path, Registry()).create_account(ALICE)
+        assert Ledger.open(path, Registry()).height == 1
+        assert verify_chain_file(path).ok
+
+    @pytest.mark.parametrize("under", ["F", "F/sub"])
+    def test_directory_under_a_regular_file_is_chain_corrupt(self, tmp_path, under):
+        (tmp_path / "F").write_bytes(b"")
+        with pytest.raises(ChainCorrupt, match="no directory for the ledger file"):
+            Ledger.open(tmp_path / under / "ledger.jsonl", Registry())
+        assert list(tmp_path.rglob("*")) == [tmp_path / "F"]
 
     def test_empty_file_gets_a_genesis_block(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
