@@ -254,7 +254,7 @@ def instance_step(cfg: CliConfig, instance_hash, transition_id):
 
 @instance.command("run")
 @click.argument("instance_hash")
-@click.option("--steps", default=10, show_default=True, type=int)
+@click.option("--steps", default=10, show_default=True, type=click.IntRange(min=0))
 @click.option("--seed", "walk_seed", default=0, show_default=True, type=int)
 @click.pass_obj
 def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):

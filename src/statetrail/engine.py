@@ -22,7 +22,7 @@ from .errors import (
     UnknownTransition,
     WrongSourceState,
 )
-from .hashing import canonical_bytes, digest
+from .hashing import MAX_DEPTH, canonical_bytes, depth, digest
 from .ledger import Ledger, LedgerTransaction, TxReceipt
 from .model import StateMachineModel, TransitionDef, model_hash
 from .registry import (
@@ -94,12 +94,15 @@ def creation_record(model_hash_value: str, owner: str, descriptor: Descriptor,
 
 
 def parse_creation_record(data: bytes) -> dict:
+    """The record a document holds; one nested deeper than MAX_DEPTH is CorruptContent."""
     try:
         raw = json.loads(data.decode("utf-8"))
         raw["model_hash"], raw["owner"], raw["nonce"]
-        return raw
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptContent(f"not an instance creation record: {exc}") from exc
+    if depth(raw) > MAX_DEPTH:
+        raise CorruptContent(f"not an instance creation record: nested deeper than {MAX_DEPTH}")
+    return raw
 
 
 def fire(state: InstanceState, model: StateMachineModel, transition_id: str) -> InstanceState:
@@ -193,8 +196,11 @@ class Engine:
         """Fire up to `steps` uniformly chosen enabled transitions.
 
         Stops early at a final state or when nothing is enabled, then
-        terminates the instance on-chain. Same seed, same walk.
+        terminates the instance on-chain. Same seed, same walk. A negative
+        `steps` raises ValueError before anything is submitted.
         """
+        if steps < 0:
+            raise ValueError(f"steps must be at least 0, not {steps}")
         rng = random.Random(seed)
         trace: list[TraceStep] = []
         state = instance

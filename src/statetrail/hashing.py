@@ -35,6 +35,10 @@ ZERO_HASH = "0x" + "0" * HASH_HEX_LEN
 ACCOUNT_HEX_LEN = 40
 FAUCET_ACCOUNT = "0x" + "0" * ACCOUNT_HEX_LEN
 
+# how deep the lists and objects of an admitted call or record may nest: far below any
+# recursion limit, so what a party accepts depends on neither its interpreter nor its stack
+MAX_DEPTH = 32
+
 _HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _ACCOUNT_RE = re.compile(r"^0x[0-9a-f]{40}$")
 
@@ -74,6 +78,18 @@ def canonical_bytes(value: Any) -> bytes:
     if text is None or not unicodedata.is_normalized("NFC", text):
         text = _encode(nfc(value))
     return text.encode("utf-8")
+
+
+def depth(value: Any) -> int:
+    """How deep lists and objects nest in `value`: 0 for a scalar, 1 for [] or {}.
+
+    Walks one level at a time, so no depth exhausts the stack.
+    """
+    count, level = 0, [value]
+    while level := [v for v in level if isinstance(v, (dict, list, tuple))]:
+        count += 1
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
+    return count
 
 
 def digest(data: bytes) -> str:

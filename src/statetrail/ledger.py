@@ -14,10 +14,11 @@ A block's timestamp is its height.
 Optional persistence appends one canonical-JSON block per line to a file.
 Opening the file re-executes its transactions, and every re-executed
 block must encode to exactly the stored line; a line that is not a
-well-formed block, or that replays to other bytes, raises ChainCorrupt at
-its height. `verify_chain_file` checks a file without executing it: each
-line must be exactly the canonical bytes of its block, with its height as
-timestamp and a correct hash and linkage.
+well-formed block, that the writer's admission rule refuses, or that
+replays to other bytes, raises ChainCorrupt at its height.
+`verify_chain_file` checks a file without executing it: each line must be
+exactly the canonical bytes of its block, with its height as timestamp and
+a correct hash and linkage.
 
 Checkpoint. For a contract with `snapshot()` and its inverse `restore()`
 (the registry), open keeps a checkpoint beside the file, at
@@ -66,10 +67,12 @@ from .errors import (
     ChainCorrupt,
     InvalidCursor,
     RegistryError,
+    TrailError,
     UnknownCall,
     UnknownSender,
 )
-from .hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes, digest, is_account_id
+from .hashing import (FAUCET_ACCOUNT, MAX_DEPTH, ZERO_HASH, canonical_bytes, depth, digest,
+                      is_account_id)
 
 Cursor = tuple[int, int, int]
 ZERO_CURSOR: Cursor = (0, 0, 0)
@@ -249,7 +252,7 @@ class Ledger:
             if self._path.exists():
                 self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written
-            self._persist(*self._apply_block([]))
+            self._persist(*self._apply_block([], b""))
 
     @classmethod
     def open(cls, path: str | Path, contract: Contract) -> "Ledger":
@@ -288,51 +291,41 @@ class Ledger:
         return self.submit(LedgerTransaction(FAUCET_ACCOUNT, create_account_call(account), 0))
 
     def submit(self, tx: LedgerTransaction) -> TxReceipt:
-        """Check one transaction, then commit it as a block of its own.
+        """Commit one transaction as a block of its own, if `_apply_tx` admits it.
 
-        A refused transaction raises and changes nothing. A faucet account
-        creation gets the faucet's next nonce, whatever `tx` holds. Like a
+        A refused transaction raises and changes nothing. A transaction from
+        the faucet gets the faucet's next nonce, whatever `tx` holds. Like a
         replay, it applies (and returns in the receipt) the call decoded from
         its canonical encoding.
         """
         with self._lock:
-            is_create, account = _faucet_creation(tx)
-            if is_create:
-                if account is None:
-                    raise UnknownSender("the faucet's call names no well-formed account id")
-                if account in self._accounts:
-                    raise AccountExists(f"account {account} already exists")
+            if tx.sender == FAUCET_ACCOUNT:
                 tx = tx._replace(nonce=self.next_nonce(FAUCET_ACCOUNT))
-            else:
-                if not is_account_id(tx.sender) or tx.sender not in self._accounts:
-                    raise UnknownSender(f"sender {tx.sender} is not a known account")
-                expected = self.next_nonce(tx.sender)
-                if type(tx.nonce) is not int or tx.nonce != expected:
-                    raise BadNonce(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}")
             # the block's encoding must not fail after the call has been applied
             try:
-                call = _DECODER.raw_decode(canonical_bytes(tx.call).decode("utf-8"))[0]
+                encoded = canonical_bytes(tx.call)
+                call = _DECODER.raw_decode(encoded.decode("utf-8"))[0]
             except (TypeError, ValueError, RecursionError) as exc:
                 raise UnknownCall(f"the call has no canonical encoding: {exc}") from exc
             tx = LedgerTransaction(tx.sender, call, tx.nonce)
-            block, content = self._apply_block([tx])
+            block, content = self._apply_block([tx], encoded)
             self._persist(block, content)
             applied = block.transactions[0]
             return TxReceipt(tx, applied.status, applied.error, block.height)
 
     # --------------------------------------------------------------- internals
 
-    def _apply_block(self, txs: list[LedgerTransaction]) -> tuple[Block, bytes]:
+    def _apply_block(self, txs: list[LedgerTransaction], raw: bytes) -> tuple[Block, bytes]:
         """Execute transactions and seal the resulting block. Deterministic.
 
-        Returns the block and the canonical bytes of its content, which
-        its hash covers.
+        `raw` holds the bytes the calls were decoded from. Returns the block
+        and the canonical bytes of its content, which its hash covers.
         """
         height = timestamp = self._next_height
         applied: list[AppliedTransaction] = []
         events: list[EventRecord] = []
         for tx_index, tx in enumerate(txs):
-            status, error, emitted = self._apply_tx(tx, timestamp)
+            status, error, emitted = self._apply_tx(tx, timestamp, raw)
             applied.append(AppliedTransaction(tx.sender, tx.call, tx.nonce, status, error))
             for event_index, (kind, payload) in enumerate(emitted):
                 events.append(EventRecord(kind, payload, height, tx_index, event_index, timestamp))
@@ -340,30 +333,39 @@ class Ledger:
         return self._seal(Block(height, self._head_hash, applied, events, timestamp))
 
     def _apply_tx(
-        self, tx: LedgerTransaction, timestamp: int
+        self, tx: LedgerTransaction, timestamp: int, raw: bytes
     ) -> tuple[str, str | None, list[tuple[str, dict]]]:
+        """The admission rule, run alike by the writer and by every replay.
+
+        Raises UnknownCall, UnknownSender, BadNonce or AccountExists before
+        anything changes. A call decoded from `raw` nests no deeper than `raw`
+        holds opening brackets, so it is walked only when they exceed MAX_DEPTH.
+        """
+        if raw.count(b"[") + raw.count(b"{") > MAX_DEPTH and depth(tx.call) > MAX_DEPTH:
+            raise UnknownCall(f"the call nests deeper than {MAX_DEPTH}")
         # account creation is a ledger-level op reserved to the faucet sender;
-        # anything else is dispatched to the contract. Submission checks the
-        # sender and nonce, so only a forged file fails these checks
-        is_create, account = _faucet_creation(tx)
-        if not (is_create or tx.sender in self._accounts):
-            raise ChainCorrupt(f"unknown sender {tx.sender} at height {timestamp}")
+        # anything else is dispatched to the contract
+        call = tx.call
+        is_create = (tx.sender == FAUCET_ACCOUNT and isinstance(call, dict)
+                     and call.get("op") == OP_CREATE_ACCOUNT)
+        if not (is_create or isinstance(tx.sender, str) and tx.sender in self._accounts):
+            raise UnknownSender(f"sender {tx.sender} is not a known account")
         expected = self._nonces.get(tx.sender, 0) + 1
         if type(tx.nonce) is not int or tx.nonce != expected:
-            raise ChainCorrupt(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}, "
-                               f"at height {timestamp}")
-        if is_create:
-            if account is None:
-                return STATUS_FAILED, "UnknownCall", []
-            if account in self._accounts:
-                return STATUS_FAILED, "AccountExists", []
-            self._accounts.add(account)
-            return STATUS_OK, None, []
-        try:
-            emitted = self._contract.apply(tx.sender, tx.call, timestamp)
-        except RegistryError as exc:
-            return STATUS_FAILED, exc.name, []
-        return STATUS_OK, None, emitted
+            raise BadNonce(f"nonce {tx.nonce!r} from {tx.sender}, expected {expected}")
+        if not is_create:
+            try:
+                return STATUS_OK, None, self._contract.apply(tx.sender, call, timestamp)
+            except RegistryError as exc:
+                return STATUS_FAILED, exc.name, []
+        args = call.get("args")
+        account = args.get("account") if isinstance(args, dict) else None
+        if not is_account_id(account):
+            raise UnknownSender("the faucet's call names no well-formed account id")
+        if account in self._accounts:
+            raise AccountExists(f"account {account} already exists")
+        self._accounts.add(account)
+        return STATUS_OK, None, []
 
     def _seal(self, block: Block) -> tuple[Block, bytes]:
         content = canonical_bytes(block.content_dict())
@@ -395,17 +397,18 @@ class Ledger:
             for start, end, raw in _read_lines(fh, sha):
                 due -= 1
                 height = self._next_height
-                # genesis carries no transactions, whatever its line claims. Applying
-                # a forged block can fail too: a sender that is not a string, a value
-                # with no canonical encoding (NaN, a lone surrogate), or one nested
-                # deeper than the interpreter's recursion limit
+                # genesis carries no transactions, whatever its line claims. Besides the
+                # admission rule, a forged block fails on a value with no canonical
+                # encoding (NaN, a lone surrogate) or one too deep for the interpreter
                 try:
                     stored = json.loads(raw)
                     txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
                            for t in stored["transactions"]] if height else []
-                    block, content = self._apply_block(txs)
+                    block, content = self._apply_block(txs, raw)
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
+                except TrailError as exc:
+                    raise ChainCorrupt(f"{exc.name}: {exc}, at height {height}") from exc
                 if _block_line(block.block_hash, content) != raw:
                     raise ChainCorrupt(f"replay diverged from stored block at height {height}")
                 # an anchor line must end in a newline, or the next append would join it
@@ -608,17 +611,6 @@ def _block_line(block_hash: object, content: bytes) -> bytes:
     "block_hash" sorts before every content key, so it comes first.
     """
     return b'{"block_hash":' + canonical_bytes(block_hash) + b"," + content[1:]
-
-
-def _faucet_creation(tx: LedgerTransaction) -> tuple[bool, str | None]:
-    """Whether `tx` is the faucet's account creation, and the well-formed id it names."""
-    call = tx.call
-    if (tx.sender != FAUCET_ACCOUNT or not isinstance(call, dict)
-            or call.get("op") != OP_CREATE_ACCOUNT):
-        return False, None
-    args = call.get("args")
-    account = args.get("account") if isinstance(args, dict) else None
-    return True, account if is_account_id(account) else None
 
 
 def _block_from_dict(d: dict) -> Block:

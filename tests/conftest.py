@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -66,6 +67,12 @@ def engine_for(world, account: str) -> Engine:
 def raw_submit(ledger: Ledger, sender: str, call: dict) -> TxReceipt:
     """Submit a hand-built call with the sender's next nonce; returns its on-chain outcome."""
     return ledger.submit(LedgerTransaction(sender, call, ledger.next_nonce(sender)))
+
+
+def on_a_fresh_stack(fn):
+    """`fn()`, run near the bottom of a new thread's stack, as a shallow caller runs it."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result(timeout=60)
 
 
 def random_model(rng: random.Random, max_states=8, max_transitions=16,

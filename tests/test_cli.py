@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from statetrail.cli import cli, main
 from statetrail.demo import multiparty
 from statetrail.errors import EXIT_CODES
+from statetrail.hashing import MAX_DEPTH
 
 from conftest import ALICE, CYCLE_DOC, MINIMAL_DOC
 
@@ -196,6 +197,13 @@ class TestInstanceCommands:
         summary = last_json(result)
         assert summary == {"fired": 6, "instance_hash": ih, "terminated": True}
 
+    def test_negative_steps_is_a_usage_error(self, workdir, funded):
+        ih = create_instance(workdir, register_cycle(workdir))
+        ledger = (workdir / "ledger.jsonl").read_bytes()
+        result = invoke(workdir, "instance", "run", ih, "--steps", "-3")
+        assert result.exit_code == 2
+        assert (workdir / "ledger.jsonl").read_bytes() == ledger
+
     def test_create_without_stored_model_content(self, workdir, funded):
         fake = "0x" + "f" * 64
         result = invoke(workdir, "instance", "create", fake, "--nonce", "1")
@@ -260,6 +268,40 @@ class TestTrackingCommands:
         lines = [json.loads(line) for line in result.output.strip().splitlines()]
         assert [line.get("status") for line in lines[:2]] == ["verified", "inconsistent"]
         assert lines[-1]["error"] == "VerificationFailed"
+
+    @pytest.mark.parametrize("nesting", [MAX_DEPTH + 1, 985])
+    def test_deep_creation_record_is_inconsistent_for_every_reader(self, workdir, funded,
+                                                                   nesting):
+        from statetrail.engine import InstanceState, state_content
+        from statetrail.ledger import Ledger
+        from statetrail.registry import Descriptor, Registry, call_register_instance
+        from statetrail.store import DirectoryContentStore
+        from statetrail.tracker import Tracker
+
+        from conftest import on_a_fresh_stack, raw_submit
+
+        mh = register_cycle(workdir)
+        registry = Registry()
+        ledger = Ledger.open(workdir / "ledger.jsonl", registry)
+        store = DirectoryContentStore(workdir / "store")
+        # bytes, not canonical_bytes: encoding the record would recurse as deep as it nests
+        name = b"[" * (nesting - 2) + b"]" * (nesting - 2)
+        ih = store.put(b'{"descriptor":{"extra":{},"id":"d","name":' + name
+                       + b'},"model_hash":"' + mh.encode() + b'","nonce":1,"owner":"'
+                       + funded.encode() + b'"}')
+        initial = store.put(state_content(InstanceState(ih, "p", {"n": 0}, 0)))
+        call = call_register_instance(ih, mh, Descriptor("d", "n"), initial)
+        assert raw_submit(ledger, funded, call).ok
+
+        def library_verify():
+            tracker = Tracker(ledger, registry, store)
+            tracker.catch_up()
+            return tracker.verify_protocol(ih)
+
+        assert on_a_fresh_stack(library_verify) == ["inconsistent"]
+        result = invoke(workdir, "protocol", "verify", ih)
+        assert result.exit_code == EXIT_CODES["VerificationFailed"]
+        assert json.loads(result.output.splitlines()[0])["status"] == "inconsistent"
 
     def test_export_for_unknown_instance(self, workdir, funded):
         result = invoke(workdir, "protocol", "export", "0x" + "e" * 64)

@@ -335,6 +335,16 @@ class TestRandomWalk:
         assert trace.steps == ()
         assert world.registry.get_instance(state.instance_hash).status.value == "terminated"
 
+    def test_negative_steps_raise_before_anything_is_submitted(self, world, descriptor):
+        model = cycle_model()
+        engine = registered(world, model)
+        state = engine.instantiate(model, descriptor, 1)
+        height = world.ledger.height
+        with pytest.raises(ValueError):
+            engine.random_walk(model, state, -3, seed=1)
+        assert world.ledger.height == height
+        assert world.registry.get_instance(state.instance_hash).status.value == "active"
+
     def test_walk_stops_at_final_state(self, world, descriptor):
         doc = dict(CYCLE_DOC, name="one-way", finals=["q"])
         model = validate_model(doc)

@@ -150,3 +150,18 @@ class TestFastPath:
         (nfc_hash, nfc_walks), (nfd_hash, nfd_walks) = hashes.values()
         assert nfc_walks == 0 and nfd_walks > 0
         assert nfd_hash == nfc_hash
+
+
+class TestDepth:
+    @pytest.mark.parametrize("value, expected", [
+        (5, 0), ("[{", 0), ([], 1), ({}, 1), ((1, [2]), 2), ({"a": [1, {"b": []}]}, 4),
+        ([[], [[[]]]], 4),
+    ])
+    def test_counts_nested_lists_and_objects(self, value, expected):
+        assert hashing.depth(value) == expected
+
+    def test_walks_any_nesting_without_a_deep_stack(self):
+        value = []
+        for _ in range(100_000):
+            value = [value]
+        assert hashing.depth(value) == 100_001

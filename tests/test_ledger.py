@@ -2,6 +2,8 @@
 
 import json
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,11 +19,12 @@ from statetrail.errors import (
     UnknownCall,
     UnknownSender,
 )
-from statetrail.hashing import FAUCET_ACCOUNT, ZERO_HASH, canonical_bytes, content_hash
+from statetrail.hashing import FAUCET_ACCOUNT, MAX_DEPTH, ZERO_HASH, canonical_bytes, content_hash
 from statetrail.ledger import (
     Ledger,
     LedgerTransaction,
     ZERO_CURSOR,
+    checkpoint_path,
     create_account_call,
     verify_chain_file,
 )
@@ -37,7 +40,16 @@ from statetrail.registry import (
     call_terminate_instance,
 )
 
-from conftest import ALICE, BOB, CARA, engine_for, make_world, minimal_model, raw_submit
+from conftest import (
+    ALICE,
+    BOB,
+    CARA,
+    engine_for,
+    make_world,
+    minimal_model,
+    on_a_fresh_stack,
+    raw_submit,
+)
 
 
 class EchoContract:
@@ -72,6 +84,31 @@ def nested(depth):
 # values with no canonical encoding
 DEEP = nested(100_000)
 UNENCODABLE = {"surrogate": "\udcff", "nan": float("nan"), "bytes": b"x", "deep": DEEP}
+
+
+def call_nested(depth):
+    """A call whose lists and objects nest exactly `depth` deep; from 4 on, a register_model."""
+    if depth < 4:
+        return nested(depth - 1) if depth else "register_model"
+    return call_register_model("0x" + "1" * 64, Descriptor("m", nested(depth - 4)))
+
+
+# around the bound, and where the interpreter's recursion limit used to decide
+DEPTHS = [0, 1, *range(MAX_DEPTH - 3, MAX_DEPTH + 2), 500, *range(980, 996), 1200]
+
+
+def at_depth(frames, fn):
+    """`fn()`, called about `frames` frames deeper than the caller."""
+    return fn() if frames <= 0 else at_depth(frames - 1, fn)
+
+
+def reopen_in_subprocess(path) -> bytes:
+    """The registry snapshot a fresh interpreter replays from the file at `path`."""
+    code = ("import sys; from statetrail.ledger import Ledger; "
+            "from statetrail.registry import Registry; r = Registry(); "
+            "Ledger.open(sys.argv[1], r); sys.stdout.buffer.write(r.snapshot_bytes())")
+    return subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          check=True, timeout=60).stdout
 
 
 class TestSubmission:
@@ -161,6 +198,44 @@ class TestSubmission:
         ledger.submit(tx(ALICE, 2))
         assert ledger.next_nonce(ALICE) == 3
         assert ledger.next_nonce(BOB) == 2
+
+    @pytest.mark.parametrize("depth", DEPTHS)
+    def test_a_call_is_refused_or_written_for_every_party(self, tmp_path, depth):
+        path = tmp_path / "ledger.jsonl"
+        world = make_world(path=path)
+        ledger, registry = world.ledger, world.registry
+        before = (ledger.height, ledger.next_nonce(ALICE), path.read_bytes())
+        try:
+            on_a_fresh_stack(lambda: raw_submit(ledger, ALICE, call_nested(depth)))
+        except UnknownCall:
+            assert depth > MAX_DEPTH
+            assert (ledger.height, ledger.next_nonce(ALICE), path.read_bytes()) == before
+            return
+        assert depth <= MAX_DEPTH and ledger.height == before[0] + 1
+        assert reopen_in_subprocess(path) == registry.snapshot_bytes()
+        checkpoint_path(path).unlink()  # the reopen wrote it; replay the whole file again
+        replayed = Registry()
+        at_depth(60, lambda: Ledger.open(path, replayed))
+        assert replayed.snapshot_bytes() == registry.snapshot_bytes()
+
+    # a submission that fails two checks: the call's is named first
+    @pytest.mark.parametrize("sender, call, nonce", [
+        ("0x" + "9" * 40, call_register_model("0x" + "1" * 64, Descriptor("m", float("nan"))), 1),
+        (ALICE, call_register_model("0x" + "1" * 64, Descriptor("m", float("nan"))), 2),
+        (FAUCET_ACCOUNT, dict(create_account_call(ALICE), nan=float("nan")), 0),
+        ("0x" + "9" * 40, call_nested(MAX_DEPTH + 1), 1),
+        (ALICE, call_nested(MAX_DEPTH + 1), 2),
+        (FAUCET_ACCOUNT, dict(create_account_call(ALICE), deep=nested(MAX_DEPTH - 1)), 0),
+    ], ids=["unknown-sender-unencodable", "bad-nonce-unencodable", "existing-unencodable",
+            "unknown-sender-too-deep", "bad-nonce-too-deep", "existing-too-deep"])
+    def test_a_call_that_fails_is_named_before_sender_nonce_and_account(
+            self, sender, call, nonce):
+        ledger = make_world(accounts=(ALICE,)).ledger
+        height = ledger.height
+        with pytest.raises(UnknownCall):
+            ledger.submit(LedgerTransaction(sender, call, nonce))
+        assert ledger.height == height
+        assert ledger.next_nonce(ALICE) == 1 and ledger.next_nonce(FAUCET_ACCOUNT) == 2
 
 
 class TestBlocks:
@@ -591,6 +666,22 @@ class TestAdversarialFiles:
         report = verify_chain_file(path)
         assert not report.ok and report.first_bad_height == 2
 
+    @pytest.mark.parametrize("height, call, error, refusal", [
+        (2, create_account_call(ALICE), "AccountExists", "AccountExists"),
+        (2, create_account_call("bogus"), "UnknownCall", "UnknownSender"),
+        (4, call_nested(MAX_DEPTH + 1), "InvalidDescriptor", "UnknownCall"),
+    ], ids=["failed-creation-of-existing-account", "failed-creation-of-malformed-id",
+            "call-nested-too-deep"])
+    def test_line_that_the_admission_rule_refuses_is_chain_corrupt(self, tmp_path, height,
+                                                                   call, error, refusal):
+        # the line records what an older replay made of the call; no writer admits it
+        path = self.forged_chain(tmp_path)
+        edit_block(path, height, lambda b: b.update(events=[], transactions=[dict(
+            b["transactions"][0], call=call, status="failed", error=error)]), reseal=True)
+        assert verify_chain_file(path).ok
+        with pytest.raises(ChainCorrupt, match=f"^{refusal}: .* at height {height}$"):
+            Ledger.open(path, Registry())
+
     def test_path_that_is_a_directory_is_chain_corrupt(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         path.mkdir()
@@ -638,7 +729,9 @@ SUBMISSIONS = st.tuples(
 ) | st.tuples(st.just(FAUCET_ACCOUNT),
               st.builds(create_account_call,
                         st.sampled_from([CARA, ALICE, "bogus", *UNENCODABLE.values()])),
-              st.just(0))
+              st.just(0)) | st.tuples(st.sampled_from([ALICE, BOB]),
+                                      st.builds(call_nested, st.sampled_from(DEPTHS)),
+                                      st.integers(0, 1))
 
 
 @settings(max_examples=60, deadline=None)
