@@ -28,7 +28,7 @@ from .errors import (
     VerificationFailed,
     exit_code,
 )
-from .ledger import LEDGER_FILE, Ledger, checkpoint_path, verify_chain_file
+from .ledger import LEDGER_FILE, Ledger, VerificationReport, checkpoint_path, verify_chain_file
 from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
 from .store import STORE_DIR, DirectoryContentStore
@@ -326,21 +326,23 @@ def chain():
 @chain.command("verify")
 @click.pass_obj
 def chain_verify(cfg: CliConfig):
-    """Check every block's bytes, hash and link, then re-execute the chain.
-
-    The checkpoint is deleted first, so the re-execution starts from
-    genesis and a successful one writes a fresh checkpoint. Exit 0 only
-    if intact.
-    """
-    if not cfg.ledger_path.is_file():
-        raise ChainCorrupt(f"no ledger file at {cfg.ledger_path}")
-    report = verify_chain_file(cfg.ledger_path)
-    if report.ok and report.blocks_checked:
-        checkpoint_path(cfg.ledger_path).unlink(missing_ok=True)
-        Ledger.open(cfg.ledger_path, Registry())
-    emit(report.to_dict())
-    if not report.ok:
-        raise ChainCorrupt(f"{report.reason} at height {report.first_bad_height}")
+    """Re-execute the chain from genesis, deleting its checkpoint first; exit 0 only if intact."""
+    path, checkpoint = cfg.ledger_path, checkpoint_path(cfg.ledger_path)
+    if not path.is_file():
+        raise ChainCorrupt(f"no ledger file at {path}")
+    try:
+        checkpoint.unlink(missing_ok=True)
+    except OSError as exc:
+        if not checkpoint.is_dir():  # open would restore from it; from a directory it cannot
+            raise ChainCorrupt(f"cannot remove {checkpoint}: {exc.strerror}") from None
+    try:  # open would write a genesis block into an empty file
+        blocks = Ledger.open(path, Registry()).height + 1 if path.stat().st_size else 0
+    except ChainCorrupt:  # then print the structural report, if that finds the fault
+        if (report := verify_chain_file(path)).ok:
+            raise
+        emit(report.to_dict())
+        raise ChainCorrupt(f"{report.reason} at height {report.first_bad_height}") from None
+    emit(VerificationReport(True, blocks).to_dict())
 
 
 # ----------------------------------------------------------------------- demo

@@ -15,35 +15,37 @@ Optional persistence appends one canonical-JSON block per line to a file.
 Opening the file re-executes its transactions, and every re-executed
 block must encode to exactly the stored line; a line that is not a
 well-formed block, that the writer's admission rule refuses, or that
-replays to other bytes, raises ChainCorrupt at its height.
-`verify_chain_file` checks a file without executing it: each line must be
-exactly the canonical bytes of its block, with its height as timestamp and
-a correct hash and linkage.
+replays to other bytes, raises ChainCorrupt at its height. So a replay
+that succeeds implies all that `verify_chain_file` checks without
+executing: each line is exactly the canonical bytes of its block, with
+its height as timestamp and a correct hash and linkage.
 
 Checkpoint. For a contract with `snapshot()` and its inverse `restore()`
 (the registry), open keeps a checkpoint beside the file, at
 `<file>.checkpoint`: the canonical JSON object {"body": ..., "digest":
-digest(canonical_bytes(body))}. The body anchors a prefix of the file (the
-last block's height and hash, the start and end offsets of its line, and
-the sha256 of the bytes before that end) and holds the accounts, nonces
-and contract snapshot after that block. Open checks the self-digest, the
-prefix sha256 and the anchor line, restores that state and re-executes
-only the blocks after the anchor; the prefix blocks and events are parsed,
-not re-executed, on first use. Events alone are decoded from where
-`_block_line` puts them, each timed at its line's height: the prefix
-sha256 proves the lines are those a full replay matched byte for byte, and
-a line laid out otherwise is ChainCorrupt. If a check fails, open writes
-one JSON line on stderr naming the reason and re-executes the whole file.
-Any change to a byte of the prefix fails the prefix check, so open rejects
-every file that a full replay rejects. A checkpoint whose two digests
-match is trusted: `chain verify` deletes it and re-executes from genesis,
-which writes a fresh one. Open writes a new checkpoint (a temporary file,
-then `os.replace`) after a full replay, and after a restore only once the
-tail it re-executed reaches `_CHECKPOINT_TAIL` blocks; a failed write is
-ignored. So the checkpoint lags the head by fewer than that many blocks,
-and a cut of the file's tail above the anchor still restores. A
-checkpoint is a pure function of the prefix it anchors, so a stale one
-that still passes the checks is still correct.
+digest(canonical_bytes(body))}. The body names its format, anchors a
+prefix of the file (the last block's height and hash, the start and end
+offsets of its line, and the sha256 of the bytes before that end) and
+holds the accounts, nonces and contract snapshot after that block. Open
+checks the self-digest, the format, the prefix sha256 and the anchor line,
+restores that state and re-executes only the blocks after the anchor; the
+prefix blocks and events are parsed, not re-executed, on first use. Events
+alone are decoded from where `_block_line` puts them, each timed at its
+line's height: the prefix sha256 proves the lines are those a full replay
+matched byte for byte, and a line laid out otherwise is ChainCorrupt. If a
+check fails, open writes one JSON line on stderr naming the reason and
+re-executes the whole file. Any change to a byte of the prefix fails the
+prefix check, and the format changes with the admission rule and the line
+format, so open rejects every file that a full replay rejects. A
+checkpoint whose two digests match is trusted: `chain verify` deletes it
+and re-executes from genesis, which writes a fresh one. Open writes a new
+checkpoint (a temporary file, then `os.replace`) after a full replay, and
+after a restore only once the tail it re-executed reaches
+`_CHECKPOINT_TAIL` blocks; a failed write is ignored. So the checkpoint
+lags the head by fewer than that many blocks, and a cut of the file's tail
+above the anchor still restores. A checkpoint is a pure function of the
+prefix it anchors, so a stale one that still passes the checks is still
+correct.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class Contract(Protocol):
 
 LEDGER_FILE = "ledger.jsonl"  # its name in a working directory
 CHECKPOINT_SUFFIX = ".checkpoint"
-_CHECKPOINT_KEYS = frozenset({"accounts", "block_hash", "end", "height", "nonces",
+_CHECKPOINT_FORMAT = 1  # bumped whenever the admission rule or the line format changes
+_CHECKPOINT_KEYS = frozenset({"accounts", "block_hash", "end", "format", "height", "nonces",
                               "prefix_sha256", "registry", "start"})
 _CHUNK = 1 << 20
 # the tail a restore re-executes before open rewrites the checkpoint. A
@@ -362,7 +365,7 @@ class Ledger:
         account = args.get("account") if isinstance(args, dict) else None
         if not is_account_id(account):
             raise UnknownSender("the faucet's call names no well-formed account id")
-        if account in self._accounts:
+        if account in self._accounts or account == FAUCET_ACCOUNT:
             raise AccountExists(f"account {account} already exists")
         self._accounts.add(account)
         return STATUS_OK, None, []
@@ -385,46 +388,38 @@ class Ledger:
         """Re-execute the file after the checkpoint's anchor, or all of it."""
         assert self._path is not None
         with self._path.open("rb") as fh:
-            sha = None
-            if self._checkpoint is not None:
-                sha = self._restore_checkpoint(fh)
-            # blocks to re-execute before the checkpoint is rewritten: none after a full replay
-            due = 0 if sha is None else _CHECKPOINT_TAIL
+            sha = self._restore_checkpoint(fh)
+            # the height a restore re-executes to before the checkpoint is rewritten (0: at once)
+            due = 0 if sha is None else self._next_height + _CHECKPOINT_TAIL
             if sha is None:
                 fh.seek(0)
                 sha = hashlib.sha256()
             anchor = None
-            for start, end, raw in _read_lines(fh, sha):
-                due -= 1
-                height = self._next_height
-                # genesis carries no transactions, whatever its line claims. Besides the
-                # admission rule, a forged block fails on a value with no canonical
-                # encoding (NaN, a lone surrogate) or one too deep for the interpreter
-                try:
-                    stored = json.loads(raw)
-                    txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
-                           for t in stored["transactions"]] if height else []
-                    block, content = self._apply_block(txs, raw)
-                except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
-                except TrailError as exc:
-                    raise ChainCorrupt(f"{exc.name}: {exc}, at height {height}") from exc
+            for height, start, end, raw, (block, content) in _walk(
+                    fh, self._replay_line, self._next_height, sha):
                 if _block_line(block.block_hash, content) != raw:
                     raise ChainCorrupt(f"replay diverged from stored block at height {height}")
                 # an anchor line must end in a newline, or the next append would join it
                 anchor = (start, end) if end - start > len(raw) else None
-        if anchor is not None and due <= 0 and self._checkpoint is not None:
+        if anchor is not None and self._next_height >= due and self._checkpoint is not None:
             self._write_checkpoint(*anchor, sha.hexdigest())
+
+    def _replay_line(self, raw: bytes, height: int) -> tuple[Block, bytes]:
+        # the next block, re-executed. Genesis carries no transactions, whatever its line claims
+        stored = _decoded(raw, height)
+        txs = [LedgerTransaction(t["sender"], t["call"], t["nonce"])
+               for t in stored["transactions"]] if height else []
+        return self._apply_block(txs, raw)
 
     def _restore_checkpoint(self, fh) -> "hashlib._Hash | None":
         """Restore the state at the checkpoint's anchor and leave `fh` after it.
 
-        Returns the sha256 of the prefix, to be continued over the tail.
-        Returns None, with the state untouched, when there is no
-        checkpoint or when it fails a check; the latter is reported as one
-        JSON line on stderr.
+        Returns the sha256 of the prefix, to be continued over the tail, or
+        None, with the state untouched, if there is no checkpoint or it fails
+        a check; a failed check is reported as one JSON line on stderr.
         """
-        assert self._checkpoint is not None
+        if self._checkpoint is None:
+            return None
         try:
             data = self._checkpoint.read_bytes()
         except FileNotFoundError:
@@ -437,26 +432,26 @@ class Ledger:
         if stored_digest != canonical_bytes(digest(body_bytes)) + b"}":
             return self._fall_back("checkpoint digest mismatch")
         try:
-            body = json.loads(body_bytes)
-        except (ValueError, RecursionError):
+            body = _decoded(body_bytes)
+        except _MALFORMED:
             return self._fall_back("checkpoint body is not JSON")
+        if isinstance(body, dict) and body.get("format") != _CHECKPOINT_FORMAT:
+            return self._fall_back("checkpoint of another format")
         if not _well_typed(body):
             return self._fall_back("ill-typed checkpoint body")
         height, start, end = body["height"], body["start"], body["end"]
-        sha, remaining = hashlib.sha256(), end
-        while remaining:
-            chunk = fh.read(min(remaining, _CHUNK))
-            if not chunk:
-                return self._fall_back("anchor past the end of the ledger file")
+        sha = hashlib.sha256()
+        for chunk in iter(lambda: fh.read(min(end - fh.tell(), _CHUNK)), b""):
             sha.update(chunk)
-            remaining -= len(chunk)
+        if fh.tell() < end:
+            return self._fall_back("anchor past the end of the ledger file")
         if sha.hexdigest() != body["prefix_sha256"]:
             return self._fall_back("ledger prefix digest mismatch")
         fh.seek(start)
         line = fh.read(end - start)
         try:
-            anchor = json.loads(line)
-        except (ValueError, RecursionError):
+            anchor = _decoded(line)
+        except _MALFORMED:
             anchor = None
         if not (line.count(b"\n") == 1 and line.endswith(b"\n")
                 and isinstance(anchor, dict) and anchor.get("height") == height
@@ -482,6 +477,7 @@ class Ledger:
             "accounts": sorted(self._accounts),
             "block_hash": self._head_hash,
             "end": end,
+            "format": _CHECKPOINT_FORMAT,
             "height": self._next_height - 1,
             "nonces": self._nonces,
             "prefix_sha256": prefix_sha,
@@ -518,14 +514,10 @@ class Ledger:
             assert self._path is not None and self._prefix is not None
             count, end, prefix_sha = self._prefix
             sha, parsed = hashlib.sha256(), []
+            decode = _block_from_line if part == "blocks" else _events_from_line
             with self._path.open("rb") as fh:
-                for _, line_end, raw in _read_lines(fh, sha):
-                    try:
-                        parsed.append(_block_from_dict(json.loads(raw)) if part == "blocks"
-                                      else _events_from_line(raw, len(parsed)))
-                    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
-                        raise ChainCorrupt(
-                            f"malformed block at height {len(parsed)}: {exc!r}") from exc
+                for _, _, line_end, _, value in _walk(fh, decode, sha=sha):
+                    parsed.append(value)
                     if line_end >= end:
                         break
             if len(parsed) != count or sha.hexdigest() != prefix_sha:
@@ -545,50 +537,57 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
     timestamp out of sequence, block hash mismatches, and broken prev-hash
     linkage, reported at the first failing height.
     """
+    prev, checked = ZERO_HASH, 0
     with Path(path).open("rb") as fh:
-        prev, checked = ZERO_HASH, 0
-        for height, (_, _, raw) in enumerate(_read_lines(fh)):
-            try:
-                stored = json.loads(raw)
-            except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deep
-                return VerificationReport(False, height, height, "unparseable block")
-            try:
-                block = _block_from_dict(stored)
-                content = canonical_bytes(block.content_dict())
-                block_hash = digest(content)
-                # the exact bytes the ledger writes for this block, so extra
-                # or missing keys anywhere in the line show as a mismatch
-                encoded = _block_line(block.block_hash, content)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                return VerificationReport(False, height, height, f"malformed block: {exc!r}")
-            if block.height != height:
-                return VerificationReport(False, height, height, "height out of sequence")
-            if block.timestamp != height:
-                return VerificationReport(False, height, height, "timestamp is not the height")
-            if block.prev_hash != prev:
-                return VerificationReport(False, height, height,
-                                          "broken linkage to previous block")
-            if block_hash != block.block_hash:
-                return VerificationReport(False, height, height, "block hash mismatch")
-            if encoded != raw:
-                return VerificationReport(False, height, height, "non-canonical block encoding")
-            prev = block.block_hash
-            checked = height + 1
+        try:
+            for height, _, _, raw, stored in _walk(fh, _decoded):
+                try:
+                    block = _block_from_dict(stored)
+                    content = canonical_bytes(block.content_dict())
+                    # what the ledger writes for it: any extra or missing key shows as a mismatch
+                    encoded = _block_line(block.block_hash, content)
+                except _MALFORMED as exc:
+                    return VerificationReport(False, height, height, f"malformed block: {exc!r}")
+                reason = ("height out of sequence" if block.height != height
+                          else "timestamp is not the height" if block.timestamp != height
+                          else "broken linkage to previous block" if block.prev_hash != prev
+                          else "block hash mismatch" if digest(content) != block.block_hash
+                          else "non-canonical block encoding" if encoded != raw else None)
+                if reason:
+                    return VerificationReport(False, height, height, reason)
+                prev, checked = block.block_hash, height + 1
+        except ChainCorrupt:  # not JSON, not UTF-8, or nested too deep
+            return VerificationReport(False, checked, checked, "unparseable block")
     return VerificationReport(True, checked)
 
 
-def _read_lines(fh, sha=None):
-    """The lines of a ledger file from `fh`'s position on, without their newline.
+# what decoding a line that is not JSON, not UTF-8, too deep or not of a block's shape raises
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
 
-    Yields (start offset, end offset, bytes) and holds one line at a time.
-    Only a newline ends a line. Every byte read is fed to `sha`, if given.
+
+def _walk(fh, decode, height=0, sha=None):
+    """Yield (height, start, end, bytes, decode(bytes, height)) for each line from `fh` on.
+
+    Only a newline ends a line; `bytes` leaves it out. Every byte read is fed to `sha`, if
+    given. A line that `decode` finds malformed or refuses is ChainCorrupt at its height.
     """
     end = fh.tell()
-    for line in fh:
+    for height, line in enumerate(fh, height):
         if sha is not None:
             sha.update(line)
         start, end = end, end + len(line)
-        yield start, end, line[:-1] if line.endswith(b"\n") else line
+        raw = line[:-1] if line.endswith(b"\n") else line
+        try:
+            value = decode(raw, height)
+        except _MALFORMED as exc:
+            raise ChainCorrupt(f"malformed block at height {height}: {exc!r}") from exc
+        except TrailError as exc:  # a replay's admission rule
+            raise ChainCorrupt(f"{exc.name}: {exc}, at height {height}") from exc
+        yield height, start, end, raw, value
+
+
+def _decoded(raw: bytes, height: int = 0) -> object:
+    return json.loads(raw)  # what every reader of a line but the events-only one decodes
 
 
 def _well_typed(body: object) -> bool:
@@ -613,21 +612,17 @@ def _block_line(block_hash: object, content: bytes) -> bytes:
     return b'{"block_hash":' + canonical_bytes(block_hash) + b"," + content[1:]
 
 
+def _block_from_line(raw: bytes, height: int) -> Block:
+    return _block_from_dict(_decoded(raw, height))
+
+
 def _block_from_dict(d: dict) -> Block:
-    txs = [
-        AppliedTransaction(t["sender"], t["call"], t["nonce"], t["status"], t["error"])
-        for t in d["transactions"]
-    ]
-    return Block(d["height"], d["prev_hash"], txs, _events_from_dict(d), d["timestamp"],
-                 d["block_hash"])
-
-
-def _events_from_dict(d: dict) -> list[EventRecord]:
-    return [
-        EventRecord(e["kind"], e["payload"], e["height"], e["tx_index"], e["event_index"],
-                    d["timestamp"])
-        for e in d["events"]
-    ]
+    txs = [AppliedTransaction(t["sender"], t["call"], t["nonce"], t["status"], t["error"])
+           for t in d["transactions"]]
+    return Block(d["height"], d["prev_hash"], txs,
+                 [EventRecord(e["kind"], e["payload"], e["height"], e["tx_index"],
+                              e["event_index"], d["timestamp"]) for e in d["events"]],
+                 d["timestamp"], d["block_hash"])
 
 
 # the start of every `_block_line`: "block_hash", then "events", the first content key

@@ -12,8 +12,9 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 
 from statetrail.cli import cli
 from statetrail.errors import ChainCorrupt
-from statetrail.hashing import canonical_bytes, content_hash, digest
-from statetrail.ledger import _CHECKPOINT_TAIL, ZERO_CURSOR, Ledger, checkpoint_path
+from statetrail.hashing import FAUCET_ACCOUNT, canonical_bytes, content_hash, digest
+from statetrail.ledger import (_CHECKPOINT_TAIL, ZERO_CURSOR, Ledger, checkpoint_path,
+                               create_account_call)
 from statetrail.registry import (
     Descriptor,
     Registry,
@@ -295,6 +296,19 @@ class TestFallback:
             b'{"body":' + body + b',"digest":' + canonical_bytes(digest(body)) + b"}")
         self.check(path, tmp_path, capsys, "checkpoint body is not JSON")
 
+    @pytest.mark.parametrize("edit", [
+        lambda b: b.pop("format"),
+        lambda b: b.update(format=b["format"] + 1),
+        lambda b: b.update(format=str(b["format"])),
+    ], ids=["no-format", "next-format", "string-format"])
+    def test_body_of_another_format(self, tmp_path, capsys, edit):
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        body = body_of(path)
+        edit(body)
+        checkpoint_path(path).write_bytes(seal(body))
+        self.check(path, tmp_path, capsys, "checkpoint of another format")
+
     def test_anchor_past_eof_after_tail_truncation(self, tmp_path, capsys):
         # append enough for a reopen to move the anchor, then cut the file back
         path = chain(tmp_path)
@@ -406,6 +420,59 @@ class TestTrustBoundary:
         assert json.loads(result.stdout)["error"] == "ChainCorrupt"
         assert "height 5" in json.loads(result.stdout)["detail"]
         assert "fallback" not in result.stderr
+
+    def test_checkpoint_without_format_over_a_now_refused_line_is_not_restored(
+            self, tmp_path, capsys):
+        # as the code before the format key wrote it, over a faucet self-creation
+        # that the admission rule admitted then and refuses now
+        import hashlib
+
+        from test_ledger import edit_block
+
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        body = body_of(path)
+        body.pop("format", None)
+        edit_block(path, 2, lambda b: b["transactions"][0].update(
+            call=create_account_call(FAUCET_ACCOUNT)), reseal=True)
+        data = path.read_bytes()
+        body["accounts"] = sorted({ALICE, CARA, FAUCET_ACCOUNT})
+        body["prefix_sha256"] = hashlib.sha256(data[:body["end"]]).hexdigest()
+        body["block_hash"] = json.loads(data.splitlines()[-1])["block_hash"]
+        checkpoint_path(path).write_bytes(seal(body))
+        with pytest.raises(ChainCorrupt, match="^AccountExists: .* at height 2$"):
+            Ledger.open(path, Registry())
+        lines = fallback_lines(capsys)
+        assert len(lines) == 1 and lines[0]["reason"] == "checkpoint of another format"
+
+    def test_chain_verify_with_a_checkpoint_that_is_a_directory(self, tmp_path):
+        # open cannot read it, so it re-executes from genesis
+        path = chain(tmp_path)
+        checkpoint_path(path).mkdir()
+        (checkpoint_path(path) / "x").write_bytes(b"")
+        result = CliRunner().invoke(cli, ["--dir", str(tmp_path), "chain", "verify"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout) == {"blocks_checked": 10, "first_bad_height": None,
+                                             "ok": True, "reason": None}
+        assert checkpoint_path(path).is_dir()
+
+    def test_chain_verify_with_a_checkpoint_it_cannot_remove(self, tmp_path, monkeypatch):
+        # a forged checkpoint left in place must not be restored from
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        body = body_of(path)
+        body["registry"]["instances"][h("i")]["owner"] = CARA
+        checkpoint_path(path).write_bytes(seal(body))
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        result = CliRunner().invoke(cli, ["--dir", str(tmp_path), "chain", "verify"])
+        assert result.exit_code == 24, result.output
+        assert json.loads(result.stdout) == {
+            "detail": f"cannot remove {checkpoint_path(path)}: Permission denied",
+            "error": "ChainCorrupt"}
 
     def test_chain_verify_on_an_empty_file_writes_nothing(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -191,6 +191,15 @@ class TestSubmission:
         assert Ledger.open(path, Registry()).height == world.ledger.height == 4
         assert verify_chain_file(path).ok
 
+    def test_faucet_cannot_create_itself(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = make_world(path=path).ledger
+        before = (ledger.height, ledger.next_nonce(FAUCET_ACCOUNT), path.read_bytes())
+        with pytest.raises(AccountExists):
+            ledger.create_account(FAUCET_ACCOUNT)
+        assert (ledger.height, ledger.next_nonce(FAUCET_ACCOUNT), path.read_bytes()) == before
+        assert FAUCET_ACCOUNT not in ledger.known_accounts()
+
     def test_nonces_are_per_sender(self):
         ledger = echo_ledger()
         ledger.submit(tx(ALICE, 1))
@@ -681,6 +690,22 @@ class TestAdversarialFiles:
         assert verify_chain_file(path).ok
         with pytest.raises(ChainCorrupt, match=f"^{refusal}: .* at height {height}$"):
             Ledger.open(path, Registry())
+
+    def test_line_where_the_faucet_creates_itself_is_chain_corrupt(self, tmp_path):
+        # as the writer before the faucet's refusal wrote it: a successful creation
+        from click.testing import CliRunner
+
+        from statetrail.cli import cli
+
+        path = self.forged_chain(tmp_path)
+        edit_block(path, 2, lambda b: b["transactions"][0].update(
+            call=create_account_call(FAUCET_ACCOUNT)), reseal=True)
+        assert verify_chain_file(path).ok
+        with pytest.raises(ChainCorrupt, match="^AccountExists: .* at height 2$"):
+            Ledger.open(path, Registry())
+        result = CliRunner().invoke(cli, ["--dir", str(tmp_path), "chain", "verify"])
+        assert result.exit_code == 24
+        assert json.loads(result.stdout)["detail"].startswith("AccountExists: ")
 
     def test_path_that_is_a_directory_is_chain_corrupt(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
