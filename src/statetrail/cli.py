@@ -28,6 +28,7 @@ from .errors import (
     VerificationFailed,
     exit_code,
 )
+from .hashing import loads
 from .ledger import LEDGER_FILE, Ledger, VerificationReport, checkpoint_path, verify_chain_file
 from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
@@ -100,8 +101,8 @@ def _sender(cfg: CliConfig) -> str:
     if not cfg.account_file.exists():
         raise UnknownSender("no account configured; create one with `account new`")
     try:
-        sender = json.loads(cfg.account_file.read_bytes())["account"]
-    except (OSError, KeyError, TypeError, ValueError, RecursionError):
+        sender = loads(cfg.account_file.read_bytes())["account"]
+    except (OSError, KeyError, TypeError, ValueError):
         sender = None
     if not isinstance(sender, str):
         raise UnknownSender(f"the account file {cfg.account_file} holds no account id")

@@ -9,7 +9,6 @@ of the ledger's truth.
 
 from __future__ import annotations
 
-import json
 import random
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -22,7 +21,7 @@ from .errors import (
     UnknownTransition,
     WrongSourceState,
 )
-from .hashing import MAX_DEPTH, canonical_bytes, depth, digest
+from .hashing import canonical_bytes, digest, loads
 from .ledger import Ledger, LedgerTransaction, TxReceipt
 from .model import StateMachineModel, TransitionDef, model_hash
 from .registry import (
@@ -70,10 +69,10 @@ def state_hash(state: InstanceState) -> str:
 def parse_state_content(data: bytes) -> InstanceState:
     """The state a document holds; no field is coerced to its type."""
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = loads(data)
         instance_hash, current_state = raw["instance_hash"], raw["current_state"]
         variables, step = raw["variables"], raw["step"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptContent(f"not an instance state document: {exc}") from exc
     if not (type(instance_hash) is str and type(current_state) is str and type(step) is int
             and type(variables) is dict and all(type(v) is int for v in variables.values())):
@@ -96,12 +95,10 @@ def creation_record(model_hash_value: str, owner: str, descriptor: Descriptor,
 def parse_creation_record(data: bytes) -> dict:
     """The record a document holds; one nested deeper than MAX_DEPTH is CorruptContent."""
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = loads(data)
         raw["model_hash"], raw["owner"], raw["nonce"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptContent(f"not an instance creation record: {exc}") from exc
-    if depth(raw) > MAX_DEPTH:
-        raise CorruptContent(f"not an instance creation record: nested deeper than {MAX_DEPTH}")
     return raw
 
 

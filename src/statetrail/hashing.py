@@ -35,8 +35,8 @@ ZERO_HASH = "0x" + "0" * HASH_HEX_LEN
 ACCOUNT_HEX_LEN = 40
 FAUCET_ACCOUNT = "0x" + "0" * ACCOUNT_HEX_LEN
 
-# how deep the lists and objects of an admitted call or record may nest: far below any
-# recursion limit, so what a party accepts depends on neither its interpreter nor its stack
+# how deep the lists and objects of an admitted call or a read document may nest: far below
+# any recursion limit, so what a party accepts depends on neither its interpreter nor its stack
 MAX_DEPTH = 32
 
 _HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
@@ -90,6 +90,17 @@ def depth(value: Any) -> int:
         count += 1
         level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
     return count
+
+
+def loads(data: bytes, bound: int = MAX_DEPTH) -> Any:
+    """The value strict UTF-8 JSON `data` holds; ValueError if none, or if it nests past `bound`."""
+    try:  # walked only past `bound` opening brackets; a RecursionError is that ValueError too
+        value = json.loads(data.decode("utf-8"))
+        if data.count(b"[") + data.count(b"{") <= bound or depth(value) <= bound:
+            return value
+    except RecursionError:
+        pass
+    raise ValueError(f"nested deeper than {bound}")
 
 
 def digest(data: bytes) -> str:

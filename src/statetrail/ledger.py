@@ -74,7 +74,7 @@ from .errors import (
     UnknownSender,
 )
 from .hashing import (FAUCET_ACCOUNT, MAX_DEPTH, ZERO_HASH, canonical_bytes, depth, digest,
-                      is_account_id)
+                      is_account_id, loads)
 
 Cursor = tuple[int, int, int]
 ZERO_CURSOR: Cursor = (0, 0, 0)
@@ -535,10 +535,19 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
 
     Detects any byte-level mutation: unparseable lines, a height or
     timestamp out of sequence, block hash mismatches, and broken prev-hash
-    linkage, reported at the first failing height.
+    linkage, reported at the first failing height. A file that cannot be
+    opened raises ChainCorrupt.
     """
     prev, checked = ZERO_HASH, 0
-    with Path(path).open("rb") as fh:
+    try:
+        fh = Path(path).open("rb")
+    except FileNotFoundError:
+        raise ChainCorrupt(f"no ledger file at {path}") from None
+    except IsADirectoryError:
+        raise ChainCorrupt(f"the ledger file {path} is a directory") from None
+    except OSError as exc:
+        raise ChainCorrupt(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         try:
             for height, _, _, raw, stored in _walk(fh, _decoded):
                 try:
@@ -561,7 +570,7 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
     return VerificationReport(True, checked)
 
 
-# what decoding a line that is not JSON, not UTF-8, too deep or not of a block's shape raises
+# what decoding a malformed line raises; RecursionError only from the unbounded events-only one
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
 
 
@@ -587,7 +596,8 @@ def _walk(fh, decode, height=0, sha=None):
 
 
 def _decoded(raw: bytes, height: int = 0) -> object:
-    return json.loads(raw)  # what every reader of a line but the events-only one decodes
+    # a line wraps a call in 3 levels; 1 more, so that a call 1 too deep is named UnknownCall
+    return loads(raw, MAX_DEPTH + 4)  # what every reader of a line but the events-only one uses
 
 
 def _well_typed(body: object) -> bool:

@@ -20,7 +20,6 @@ Model file schema (UTF-8 JSON, unknown fields rejected):
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
@@ -32,7 +31,7 @@ from .errors import (
     MissingInitial,
     UnknownVariable,
 )
-from .hashing import canonical_bytes, digest, nfc
+from .hashing import canonical_bytes, digest, loads, nfc
 
 GUARD_OPS = ("<", "<=", "==", ">=", ">")
 
@@ -233,8 +232,8 @@ def model_hash(model: StateMachineModel) -> str:
 
 def parse_model_bytes(data: bytes) -> StateMachineModel:
     try:
-        raw = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raw = loads(data)
+    except ValueError as exc:
         raise InvalidModelDocument(f"not a UTF-8 JSON document: {exc}") from exc
     return validate_model(raw)
 

@@ -25,8 +25,6 @@ the last call changes the statuses.
 
 from __future__ import annotations
 
-import json
-
 from .engine import InstanceState, parse_creation_record, parse_state_content
 from .errors import (
     CorruptContent,
@@ -34,7 +32,7 @@ from .errors import (
     OutOfOrderEvent,
     TrailError,
 )
-from .hashing import canonical_bytes
+from .hashing import canonical_bytes, loads
 from .ledger import Cursor, EventRecord, Ledger, ZERO_CURSOR
 from .model import StateMachineModel, TransitionDef, parse_model_bytes
 from .registry import (
@@ -155,8 +153,8 @@ def import_protocol(data: bytes) -> InstanceProtocol:
     """Read an export back; anything that is not one raises CorruptContent."""
     try:
         entries = [ProtocolEntry(**{name: raw[name] for name in EXPORT_FIELDS})
-                   for raw in map(json.loads, data.splitlines())]
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                   for raw in map(loads, data.splitlines())]
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorruptContent(f"not a protocol export: {exc!r}") from exc
     if not entries:
         raise CorruptContent("cannot import an empty protocol")

@@ -7,6 +7,14 @@ matching digest. Whatever the edit, every read command ends in success
 or a named error, prints sorted-key JSON lines, and prints the same bytes
 when run again. A forged checkpoint with matching digests is trusted by
 design, so the sweep asserts a named exit, not a rejection.
+
+The sweep also reaches the documents a party reads from the store and its
+account file. A state document, creation record or model document is
+replaced by hostile bytes stored under their own hash, with every mention
+of the old hash in the ledger rewritten and resealed, so that replay
+accepts the file and the readers meet the bytes. The same bytes are
+written to the account file. `instance step`, which writes, runs on a
+fresh copy of the workdir each time.
 """
 
 import json
@@ -19,9 +27,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from statetrail.cli import cli
-from statetrail.demo import multiparty
+from statetrail.demo import derive_account, multiparty
 from statetrail.errors import EXIT_CODES, ChainCorrupt
-from statetrail.hashing import canonical_bytes, content_hash, digest
+from statetrail.hashing import MAX_DEPTH, canonical_bytes, content_hash, digest
 from statetrail.ledger import LEDGER_FILE, Ledger, checkpoint_path, verify_chain_file
 from statetrail.registry import Registry
 
@@ -146,3 +154,96 @@ def test_checkpoint_body_edit_under_a_matching_digest(base, pick, new):
         checkpoint.write_bytes(b'{"body":' + body_bytes + b',"digest":'
                                + canonical_bytes(digest(body_bytes)) + b"}")
         run_read_commands(wd, instances)
+
+
+def variants(original):
+    """Hostile stand-ins for the JSON object `original`: other shapes, other encodings,
+    and the object with an extra key that makes it nest MAX_DEPTH - 1, MAX_DEPTH,
+    MAX_DEPTH + 1 or 1000 deep."""
+    text = original.decode("utf-8")
+    return [
+        *(canonical_bytes(v) for v in VALUES),
+        b"\xef\xbb\xbf" + original,
+        text.encode("utf-16"),
+        text.encode("utf-16-le"),
+        text.encode("utf-32"),
+        *(original[:-1] + b',"~":' + b"[" * (d - 1) + b"]" * (d - 1) + b"}"
+          for d in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 1000)),
+    ]
+
+
+VARIANTS = len(variants(b"{}"))
+OWNER = derive_account(7, 0)  # the demo's first party, which owns the model and instance 0
+ACCOUNT_FILE = canonical_bytes({"account": OWNER}) + b"\n"
+
+
+def latest_state(workdir, instance):
+    """The post state of the last transition event of `instance`, as the ledger holds it."""
+    latest = None
+    for line in (workdir / LEDGER_FILE).read_bytes().splitlines():
+        for event in json.loads(line)["events"]:
+            if event["payload"].get("instance_hash") == instance:
+                latest = event["payload"].get("post_state", latest)
+    return latest
+
+
+def registered_model(workdir):
+    """The hash of the model that the demo registers at height 4."""
+    line = (workdir / LEDGER_FILE).read_bytes().splitlines()[4]
+    return json.loads(line)["transactions"][0]["call"]["args"]["model_hash"]
+
+
+def rehashed(workdir, old, content):
+    """Store `content` under its own hash and put that hash everywhere the ledger says `old`."""
+    new = digest(content)
+    (workdir / "store" / new).write_bytes(content)
+    path = workdir / LEDGER_FILE
+    blocks = [json.loads(line.replace(old.encode(), new.encode()))
+              for line in path.read_bytes().splitlines()]
+    prev = None
+    for block in blocks:
+        if prev is not None:
+            block["prev_hash"] = prev
+        block["block_hash"] = prev = content_hash(
+            {k: v for k, v in block.items() if k != "block_hash"})
+    path.write_bytes(b"".join(canonical_bytes(b) + b"\n" for b in blocks))
+    checkpoint_path(path).unlink(missing_ok=True)
+    return new
+
+
+def run_step(workdir, tmp, instance, account_file=ACCOUNT_FILE):
+    """`instance step` on a fresh copy of `workdir`, with `account_file` as its account file."""
+    wd = copy_of(workdir, Path(tempfile.mkdtemp(dir=tmp)))
+    (wd / "account.json").write_bytes(account_file)
+    result = CliRunner().invoke(cli, ["--dir", str(wd), "instance", "step", instance, "t_load"])
+    assert result.exit_code in EXITS, (result.exception, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    for line in result.stdout_bytes.splitlines():
+        assert isinstance(json.loads(line, object_pairs_hook=sorted_object), dict)
+
+
+@settings(max_examples=20, deadline=None)
+@given(target=st.sampled_from(["state", "record", "model"]), which=st.integers(0, 1),
+       variant=st.integers(0, VARIANTS - 1))
+def test_store_document_replaced_under_its_own_hash(base, target, which, variant):
+    workdir, instances = base
+    with tempfile.TemporaryDirectory() as tmp:
+        wd = copy_of(workdir, tmp)
+        instance = instances[which]
+        old = {"state": latest_state(wd, instance), "record": instance,
+               "model": registered_model(wd)}[target]
+        new = rehashed(wd, old, variants((wd / "store" / old).read_bytes())[variant])
+        Ledger.open(wd / LEDGER_FILE, Registry())  # the readers, not replay, meet the bytes
+        if target == "record":
+            instances = [new if h == old else h for h in instances]
+            instance = new
+        run_read_commands(wd, instances)
+        run_step(wd, tmp, instance)
+
+
+@settings(max_examples=15, deadline=None)
+@given(variant=st.integers(0, VARIANTS - 1), which=st.integers(0, 1))
+def test_account_file_replaced(base, variant, which):
+    workdir, instances = base
+    with tempfile.TemporaryDirectory() as tmp:
+        run_step(workdir, tmp, instances[which], variants(ACCOUNT_FILE.rstrip())[variant])

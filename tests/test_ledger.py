@@ -475,6 +475,35 @@ class TestChainIntegrity:
         assert not report.ok and report.first_bad_height == 4
         assert report.reason == reason
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda line: b"\xef\xbb\xbf" + line,
+        lambda line: line.decode("utf-8").encode("utf-16"),
+        lambda line: line.replace(b'"status":"ok"', b'"status":"ok\xed\xa0\x80"'),
+    ], ids=["bom", "utf-16", "raw-surrogate"])
+    def test_line_that_is_not_strict_utf8_is_unparseable(self, tmp_path, rewrite):
+        path = tmp_path / "ledger.jsonl"
+        ledger = echo_ledger(path=path)
+        for i in range(1, 4):
+            ledger.submit(tx(ALICE, i))
+        lines = path.read_bytes().splitlines()
+        lines[4] = rewrite(lines[4])
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert verify_chain_file(path) == (False, 4, 4, "unparseable block")
+        with pytest.raises(ChainCorrupt, match="^malformed block at height 4"):
+            Ledger.open(path, EchoContract())
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda path: None, "no ledger file at "),
+        (lambda path: path.mkdir(), " is a directory"),
+        (lambda path: path.parent.rmdir() or path.parent.write_bytes(b""), "cannot read "),
+    ], ids=["missing", "directory", "parent-is-a-file"])
+    def test_file_that_cannot_be_read_is_chain_corrupt(self, tmp_path, make, text):
+        path = tmp_path / "wd" / "ledger.jsonl"
+        path.parent.mkdir()
+        make(path)
+        with pytest.raises(ChainCorrupt, match=text):
+            verify_chain_file(path)
+
 
 class TestPersistence:
     def test_replay_reconstructs_identical_chain(self, tmp_path):
