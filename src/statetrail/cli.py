@@ -10,13 +10,13 @@ else maps a stable error name (see errors.EXIT_CODES).
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
-
-import click
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .engine import Engine, InstanceState, state_hash
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     VerificationFailed,
     exit_code,
 )
-from .hashing import loads
+from .hashing import encoder, loads
 from .ledger import LEDGER_FILE, Ledger, VerificationReport, checkpoint_path, verify_chain_file
 from .model import StateMachineModel, canonical_serialize, load_model_file, parse_model_bytes
 from .registry import Descriptor, Registry, call_delegate_access, call_register_model
@@ -47,46 +47,120 @@ class CliConfig(NamedTuple):
     account: str | None
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
+_encode = encoder(", ", ": ", ensure_ascii=True, allow_nan=True)  # JSONEncoder(sort_keys=True)
 
 
 def emit(*objs: dict, first: Iterable[dict] = ()) -> None:
     """Write one JSON line per object, those of `first` before, to stdout in one write."""
-    out = bytearray()
-    for obj in itertools.chain(first, objs):
-        out += _ENCODE(obj).encode() + b"\n"
-    click.echo(out, nl=False)
+    _write(b"".join(_encode(obj).encode() + b"\n" for obj in itertools.chain(first, objs)))
 
 
-class TrailGroup(click.Group):
-    """Maps TrailError raised by any command to its stable exit code."""
+def _write(data: bytes) -> None:
+    sys.stdout.buffer.write(data)
+    sys.stdout.buffer.flush()
 
-    def invoke(self, ctx):
+
+def arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One `add_argument` call: a positional argument, or an option and its settings."""
+    return names, kwargs
+
+
+def _path(*, exists: bool = False, file_okay: bool = True, dir_okay: bool = True) -> Callable:
+    """A usage check of a path argument: it must exist if `exists`, and be readable if it does."""
+    def path(value: str) -> str:
+        problem = ("does not exist" if exists and not os.path.exists(value)
+                   else "is a file" if not file_okay and os.path.isfile(value)
+                   else "is a directory" if not dir_okay and os.path.isdir(value)
+                   else "is not readable" if os.path.exists(value)
+                   and not os.access(value, os.R_OK) else None)
+        if problem:
+            raise argparse.ArgumentTypeError(f"{value!r} {problem}")
+        return value
+    return path
+
+
+def _at_least(low: int) -> Callable:
+    def integer(value: str) -> int:  # its ValueError is argparse's "invalid integer value"
+        if int(value) < low:
+            raise argparse.ArgumentTypeError(f"{value} is not in the range x>={low}")
+        return int(value)
+    return integer
+
+
+GLOBAL_OPTIONS = (
+    arg("--dir", type=_path(file_okay=False),
+        help="Working directory (default: $STATETRAIL_DIR, else the current one)."),
+    arg("--account", help="Sender account id (0x-hex)."),
+    arg("--account-file", type=_path(dir_okay=False), help="File holding the sender account id."),
+    arg("--seed", type=int, help="Seed for account derivation."),
+)
+GROUPS = {"account": "Account management.", "model": "Model registration.",
+          "instance": "Instance lifecycle.", "chain": "Ledger integrity.",
+          "protocol": "Instance protocol export and verification.", "demo": "Scenario harnesses."}
+# (words, function, arguments) of every command, in the order @command registers them
+COMMANDS: list[tuple[tuple[str, ...], Callable, tuple]] = []
+
+
+def command(words: str, *arguments: tuple[tuple[str, ...], dict]) -> Callable:
+    """Register a function of the configuration and one keyword per argument as `words`."""
+    return lambda fn: COMMANDS.append((tuple(words.split()), fn, arguments)) or fn
+
+
+class _Formatter(argparse.HelpFormatter):
+    """Usage lines start "Usage: ", as scripts that check a help text expect."""
+
+    def add_usage(self, usage, actions, groups, prefix=None):
+        super().add_usage(usage, actions, groups, "Usage: " if prefix is None else prefix)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command tree. Options are never abbreviated; a usage error exits 2."""
+    settings = {"allow_abbrev": False, "formatter_class": _Formatter}
+    top = argparse.ArgumentParser(prog=prog, **settings, description=(
+        "Tracked execution of state-machine models on a simulated ledger."))
+    for names, kwargs in GLOBAL_OPTIONS:
+        top.add_argument(*names, **kwargs)
+    top.set_defaults(dir=os.environ.get("STATETRAIL_DIR") or ".")  # checked as --dir is
+    commands = {(): top.add_subparsers(metavar="COMMAND", required=True)}
+    for words, fn, arguments in COMMANDS:
+        if words[:-1] not in commands:
+            group = commands[()].add_parser(words[0], help=GROUPS[words[0]], **settings)
+            commands[words[:-1]] = group.add_subparsers(metavar="COMMAND", required=True)
+        parser = commands[words[:-1]].add_parser(words[-1], help=fn.__doc__.splitlines()[0],
+                                                 description=fn.__doc__, **settings)
+        for names, kwargs in arguments:
+            parser.add_argument(*names, **kwargs)
+        parser.set_defaults(run=fn)
+    return top
+
+
+class Cli:
+    """`main` runs one command and exits: 0, 2 for a usage error, or a TrailError's code."""
+
+    name = "statetrail"
+
+    def main(self, args: Iterable[str] | None = None, prog_name: str | None = None) -> None:
+        params = vars(_parser(prog_name or self.name).parse_args(args))
+        base, run = Path(params.pop("dir")), params.pop("run")
+        cfg = CliConfig(base / LEDGER_FILE, base / STORE_DIR,
+                        Path(params.pop("account_file") or base / "account.json"),
+                        params.pop("seed"), params.pop("account"))
         try:
-            return super().invoke(ctx)
+            run(cfg, **params)
         except TrailError as exc:
             emit({"detail": str(exc), "error": exc.name})
             sys.exit(exit_code(exc))
+        except BrokenPipeError:  # the reader left early, as `| head` does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        except KeyboardInterrupt:
+            sys.stderr.write("\nAborted!\n")
+            sys.exit(1)
+        sys.exit(0)
 
 
-@click.group(cls=TrailGroup)
-@click.option("--dir", "workdir", envvar="STATETRAIL_DIR", default=".",
-              type=click.Path(file_okay=False), help="Working directory.")
-@click.option("--account", default=None, help="Sender account id (0x-hex).")
-@click.option("--account-file", default=None, type=click.Path(dir_okay=False),
-              help="File holding the sender account id.")
-@click.option("--seed", default=None, type=int, help="Seed for account derivation.")
-@click.pass_context
-def cli(ctx, workdir, account, account_file, seed):
-    """Tracked execution of state-machine models on a simulated ledger."""
-    base = Path(workdir)
-    ctx.obj = CliConfig(
-        ledger_path=base / LEDGER_FILE,
-        store_path=base / STORE_DIR,
-        account_file=Path(account_file) if account_file else base / "account.json",
-        seed=seed,
-        account=account,
-    )
+cli = Cli()
+main = cli.main  # the console script's entry point
 
 
 def _services(cfg: CliConfig) -> tuple[Ledger, Registry, DirectoryContentStore]:
@@ -140,17 +214,8 @@ def _protocol(cfg: CliConfig, instance_hash: str) -> Tracker:
     return tracker
 
 
-# ---------------------------------------------------------------------- account
-
-@cli.group()
-def account():
-    """Account management."""
-
-
-@account.command("new")
-@click.option("--save/--no-save", default=True, show_default=True,
-              help="Write the account id to the account file.")
-@click.pass_obj
+@command("account new", arg("--save", action=argparse.BooleanOptionalAction, default=True,
+                            help="Write the account id to the account file."))
 def account_new(cfg: CliConfig, save):
     """Create a fresh account through the faucet and print its id."""
     ledger, _, _ = _services(cfg)
@@ -176,18 +241,9 @@ def account_new(cfg: CliConfig, save):
     emit({"account": new_id})
 
 
-# ------------------------------------------------------------------------ model
-
-@cli.group()
-def model():
-    """Model registration."""
-
-
-@model.command("register")
-@click.argument("model_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--id", "descriptor_id", default=None, help="Descriptor id.")
-@click.option("--name", "descriptor_name", default=None, help="Descriptor name.")
-@click.pass_obj
+@command("model register", arg("model_file", type=_path(exists=True, dir_okay=False)),
+         arg("--id", dest="descriptor_id", help="Descriptor id."),
+         arg("--name", dest="descriptor_name", help="Descriptor name."))
 def model_register(cfg: CliConfig, model_file, descriptor_id, descriptor_name):
     """Validate, hash, store and register a model file."""
     machine = load_model_file(model_file)
@@ -199,48 +255,33 @@ def model_register(cfg: CliConfig, model_file, descriptor_id, descriptor_name):
     emit({"model_hash": mh})
 
 
-@cli.command("delegate")
-@click.argument("subject_hash")
-@click.argument("delegate_account")
-@click.pass_obj
+@command("delegate", arg("subject_hash"), arg("delegate_account"))
 def delegate(cfg: CliConfig, subject_hash, delegate_account):
     """Grant an account access to a model or instance you own."""
     _engine(cfg).submit_call(call_delegate_access(subject_hash, delegate_account))
     emit({"delegate": delegate_account, "subject": subject_hash})
 
 
-# --------------------------------------------------------------------- instance
-
-@cli.group()
-def instance():
-    """Instance lifecycle."""
-
-
-@instance.command("create")
-@click.argument("model_hash_arg", metavar="MODEL_HASH")
-@click.option("--nonce", required=True, type=int,
-              help="Freshness nonce; part of the instance hash.")
-@click.option("--id", "descriptor_id", default=None, help="Descriptor id.")
-@click.option("--name", "descriptor_name", default=None, help="Descriptor name.")
-@click.pass_obj
-def instance_create(cfg: CliConfig, model_hash_arg, nonce, descriptor_id, descriptor_name):
+@command("instance create", arg("model_hash"),
+         arg("--nonce", required=True, type=int,
+             help="Freshness nonce; part of the instance hash."),
+         arg("--id", dest="descriptor_id", help="Descriptor id."),
+         arg("--name", dest="descriptor_name", help="Descriptor name."))
+def instance_create(cfg: CliConfig, model_hash, nonce, descriptor_id, descriptor_name):
     """Instantiate a registered model and register the instance."""
     engine = _engine(cfg)
-    machine = parse_model_bytes(engine.store.get(model_hash_arg))
+    machine = parse_model_bytes(engine.store.get(model_hash))
     descriptor = Descriptor(id=descriptor_id or f"{machine.name}-{nonce}",
                             name=descriptor_name or machine.name)
     state = engine.instantiate(machine, descriptor, nonce)
     emit({
         "initial_state": state_hash(state),
         "instance_hash": state.instance_hash,
-        "model_hash": model_hash_arg,
+        "model_hash": model_hash,
     })
 
 
-@instance.command("step")
-@click.argument("instance_hash")
-@click.argument("transition_id")
-@click.pass_obj
+@command("instance step", arg("instance_hash"), arg("transition_id"))
 def instance_step(cfg: CliConfig, instance_hash, transition_id):
     """Fire one transition and register it on-chain."""
     engine, state, machine = _instance(cfg, instance_hash)
@@ -253,11 +294,9 @@ def instance_step(cfg: CliConfig, instance_hash, transition_id):
     })
 
 
-@instance.command("run")
-@click.argument("instance_hash")
-@click.option("--steps", default=10, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", "walk_seed", default=0, show_default=True, type=int)
-@click.pass_obj
+@command("instance run", arg("instance_hash"),
+         arg("--steps", default=10, type=_at_least(0), help="(default: %(default)s)"),
+         arg("--seed", dest="walk_seed", default=0, type=int, help="(default: %(default)s)"))
 def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):
     """Random walk: fire seeded random enabled transitions, then terminate."""
     engine, state, machine = _instance(cfg, instance_hash)
@@ -266,42 +305,26 @@ def instance_run(cfg: CliConfig, instance_hash, steps, walk_seed):
          first=({"post_state": s.post_hash, "transition": s.transition_id} for s in trace.steps))
 
 
-@instance.command("terminate")
-@click.argument("instance_hash")
-@click.pass_obj
+@command("instance terminate", arg("instance_hash"))
 def instance_terminate(cfg: CliConfig, instance_hash):
     """Terminate an active instance."""
     _engine(cfg).terminate(instance_hash)
     emit({"instance_hash": instance_hash, "status": "terminated"})
 
 
-# ------------------------------------------------------------------- tracking
-
-@cli.command("track")
-@click.pass_obj
+@command("track")
 def track(cfg: CliConfig):
     """Follow ledger events and print protocol entries as they apply."""
     emit(first=(entry.to_dict() for entry in _tracker(cfg).catch_up()))
 
 
-@cli.group()
-def protocol():
-    """Instance protocol export and verification."""
-
-
-@protocol.command("export")
-@click.argument("instance_hash")
-@click.pass_obj
+@command("protocol export", arg("instance_hash"))
 def protocol_export(cfg: CliConfig, instance_hash):
     """Print the instance protocol as JSON Lines."""
-    tracker = _protocol(cfg, instance_hash)
-    sys.stdout.buffer.write(tracker.export(instance_hash))
-    sys.stdout.buffer.flush()
+    _write(_protocol(cfg, instance_hash).export(instance_hash))
 
 
-@protocol.command("verify")
-@click.argument("instance_hash")
-@click.pass_obj
+@command("protocol verify", arg("instance_hash"))
 def protocol_verify(cfg: CliConfig, instance_hash):
     """Verify every protocol entry; exit 0 only if all entries verify."""
     from .tracker import STATUS_VERIFIED
@@ -317,15 +340,7 @@ def protocol_verify(cfg: CliConfig, instance_hash):
         raise VerificationFailed(f"{bad} of {len(statuses)} entries did not verify")
 
 
-# ---------------------------------------------------------------------- chain
-
-@cli.group()
-def chain():
-    """Ledger integrity."""
-
-
-@chain.command("verify")
-@click.pass_obj
+@command("chain verify")
 def chain_verify(cfg: CliConfig):
     """Re-execute the chain from genesis, deleting its checkpoint first; exit 0 only if intact."""
     path, checkpoint = cfg.ledger_path, checkpoint_path(cfg.ledger_path)
@@ -346,20 +361,13 @@ def chain_verify(cfg: CliConfig):
     emit(VerificationReport(True, blocks).to_dict())
 
 
-# ----------------------------------------------------------------------- demo
-
-@cli.group()
-def demo():
-    """Scenario harnesses."""
-
-
-@demo.command("multiparty")
-@click.option("--parties", default=3, show_default=True, type=click.IntRange(min=2))
-@click.option("--steps", default=50, show_default=True, type=click.IntRange(min=0))
-@click.option("--seed", "demo_seed", default=7, show_default=True, type=int)
-@click.option("--workdir", default=None, type=click.Path(file_okay=False),
-              help="Scenario directory, reset first; defaults to a fresh temp dir.")
-def demo_multiparty(parties, steps, demo_seed, workdir):
+@command("demo multiparty",
+         arg("--parties", default=3, type=_at_least(2), help="(default: %(default)s)"),
+         arg("--steps", default=50, type=_at_least(0), help="(default: %(default)s)"),
+         arg("--seed", dest="demo_seed", default=7, type=int, help="(default: %(default)s)"),
+         arg("--workdir", type=_path(file_okay=False),
+             help="Scenario directory, reset first; defaults to a fresh temp dir."))
+def demo_multiparty(cfg: CliConfig, parties, steps, demo_seed, workdir):
     """Full multi-party scenario; asserts convergence of all trackers."""
     import tempfile
 
@@ -367,11 +375,9 @@ def demo_multiparty(parties, steps, demo_seed, workdir):
 
     target = Path(tempfile.mkdtemp(prefix="statetrail-demo-") if workdir is None else workdir)
     summary = multiparty(parties=parties, steps=steps, seed=demo_seed, workdir=target)
-    click.echo(f"workdir: {target}", err=True)
+    print(f"workdir: {target}", file=sys.stderr, flush=True)
     emit(summary)
 
-
-main = cli  # the console script's entry point
 
 if __name__ == "__main__":
     main()

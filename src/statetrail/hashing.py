@@ -16,8 +16,8 @@ combining mark), or that has no encoding, is encoded again after the
 cases, and the bytes are the same as walking every value first.
 
 `JSONEncoder.encode` builds a C encoder and a float formatter on every
-call; `canonical_bytes` calls one C encoder built at import, with the
-same bytes and the same errors.
+call; `encoder` builds one once, with the same bytes and the same errors,
+for `canonical_bytes` and for the CLI's output lines.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import hashlib
 import json
 import re
 import unicodedata
-from json.encoder import c_make_encoder, encode_basestring
-from typing import Any
+from json.encoder import c_make_encoder, encode_basestring, encode_basestring_ascii
+from typing import Any, Callable
 
 HASH_HEX_LEN = 64
 ZERO_HASH = "0x" + "0" * HASH_HEX_LEN
@@ -39,6 +39,7 @@ FAUCET_ACCOUNT = "0x" + "0" * ACCOUNT_HEX_LEN
 # any recursion limit, so what a party accepts depends on neither its interpreter nor its stack
 MAX_DEPTH = 32
 
+_CONTAINERS = (dict, list, tuple)
 _HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _ACCOUNT_RE = re.compile(r"^0x[0-9a-f]{40}$")
 
@@ -54,19 +55,22 @@ def nfc(value: Any) -> Any:
     return value
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-                            allow_nan=False)
-
-if c_make_encoder is not None:
+def encoder(item_separator: str, key_separator: str, *, ensure_ascii: bool,
+            allow_nan: bool) -> Callable[[Any], str]:
+    """`json.JSONEncoder(sort_keys=True, ...).encode`, with one C encoder built now."""
+    slow = json.JSONEncoder(sort_keys=True, separators=(item_separator, key_separator),
+                            ensure_ascii=ensure_ascii, allow_nan=allow_nan)
+    if c_make_encoder is None:
+        return slow.encode
     # (markers, default, encoder, indent, key and item separators, sort_keys, skipkeys,
     # allow_nan); markers None: a value that contains itself is a RecursionError, as in nfc
-    _C_ENCODE = c_make_encoder(None, _ENCODER.default, encode_basestring, None,
-                               ":", ",", True, False, False)
+    c_encode = c_make_encoder(None, slow.default,
+                              encode_basestring_ascii if ensure_ascii else encode_basestring,
+                              None, key_separator, item_separator, True, False, allow_nan)
+    return lambda value: "".join(c_encode(value, 0))
 
-    def _encode(value: Any) -> str:
-        return "".join(_C_ENCODE(value, 0))
-else:
-    _encode = _ENCODER.encode
+
+_encode = encoder(",", ":", ensure_ascii=False, allow_nan=False)
 
 
 def canonical_bytes(value: Any) -> bytes:
@@ -83,12 +87,13 @@ def canonical_bytes(value: Any) -> bytes:
 def depth(value: Any) -> int:
     """How deep lists and objects nest in `value`: 0 for a scalar, 1 for [] or {}.
 
-    Walks one level at a time, so no depth exhausts the stack.
+    Walks one level of containers at a time, so no depth exhausts the stack.
     """
-    count, level = 0, [value]
-    while level := [v for v in level if isinstance(v, (dict, list, tuple))]:
+    count, level = 0, [value] if isinstance(value, _CONTAINERS) else []
+    while level:
         count += 1
-        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)]
+        level = [x for v in level for x in (v.values() if isinstance(v, dict) else v)
+                 if isinstance(x, _CONTAINERS)]
     return count
 
 

@@ -98,10 +98,11 @@ class Contract(Protocol):
 
 LEDGER_FILE = "ledger.jsonl"  # its name in a working directory
 CHECKPOINT_SUFFIX = ".checkpoint"
-_CHECKPOINT_FORMAT = 1  # bumped whenever the admission rule or the line format changes
+# bumped whenever the admission rule, the line format or the contract snapshot's shape changes
+_CHECKPOINT_FORMAT = 2
 _CHECKPOINT_KEYS = frozenset({"accounts", "block_hash", "end", "format", "height", "nonces",
                               "prefix_sha256", "registry", "start"})
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # the one buffer a restore hashes the prefix through
 # the tail a restore re-executes before open rewrites the checkpoint. A
 # rewrite costs as much as re-executing a hundred or more blocks and grows
 # with the chain; each open re-executes what the checkpoint lags by
@@ -440,9 +441,9 @@ class Ledger:
         if not _well_typed(body):
             return self._fall_back("ill-typed checkpoint body")
         height, start, end = body["height"], body["start"], body["end"]
-        sha = hashlib.sha256()
-        for chunk in iter(lambda: fh.read(min(end - fh.tell(), _CHUNK)), b""):
-            sha.update(chunk)
+        sha, buf = hashlib.sha256(), memoryview(bytearray(_CHUNK))
+        while n := fh.readinto(buf[:min(end - fh.tell(), _CHUNK)]):
+            sha.update(buf[:n])
         if fh.tell() < end:
             return self._fall_back("anchor past the end of the ledger file")
         if sha.hexdigest() != body["prefix_sha256"]:
@@ -513,8 +514,9 @@ class Ledger:
                 return
             assert self._path is not None and self._prefix is not None
             count, end, prefix_sha = self._prefix
-            sha, parsed = hashlib.sha256(), []
-            decode = _block_from_line if part == "blocks" else _events_from_line
+            sha, parsed, strings = hashlib.sha256(), [], {}  # equal strings, shared by this load
+            decode = _block_from_line if part == "blocks" else (
+                lambda raw, height: _events_from_line(raw, height, strings))
             with self._path.open("rb") as fh:
                 for _, _, line_end, _, value in _walk(fh, decode, sha=sha):
                     parsed.append(value)
@@ -640,11 +642,13 @@ _LINE_HEAD = re.compile(rb'\{"block_hash":"0x[0-9a-f]{64}","events":')
 _DECODER = json.JSONDecoder()
 
 
-def _events_from_line(raw: bytes, height: int) -> list[EventRecord]:
-    """The events of the line at `height`, decoding nothing else; names interned, as a replay's."""
+def _events_from_line(raw: bytes, height: int, strings: dict[str, str]) -> list[EventRecord]:
+    """The events of the line at `height` alone; names interned, string values from `strings`."""
     head = _LINE_HEAD.match(raw)
     if head is None:
         raise ValueError("not laid out as a block line")
-    return [EventRecord(sys.intern(e["kind"]), {sys.intern(k): v for k, v in e["payload"].items()},
+    return [EventRecord(sys.intern(e["kind"]),
+                        {sys.intern(k): strings.setdefault(v, v) if type(v) is str else v
+                         for k, v in e["payload"].items()},
                         e["height"], e["tx_index"], e["event_index"], height)
             for e in _DECODER.raw_decode(raw.decode("utf-8"), head.end())[0]]

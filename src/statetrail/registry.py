@@ -36,8 +36,6 @@ from .hashing import canonical_bytes, is_account_id, is_content_hash
 _HASH_ARGS = frozenset({"model_hash", "instance_hash", "initial_state_hash", "pre_state",
                         "post_state", "subject_hash"})
 
-_TRANSITION_KEYS = frozenset({"post_state", "pre_state", "seq"})
-
 EVENT_INSTANCE_CREATED = "InstanceCreated"
 EVENT_TRANSITION = "TransitionEvent"
 EVENT_INSTANCE_TERMINATED = "InstanceTerminated"
@@ -278,7 +276,10 @@ class Registry:
     # -------------------------------------------------------------- snapshots
 
     def snapshot(self) -> dict:
-        """Full registry state as a canonical plain dict."""
+        """Full registry state as a canonical plain dict.
+
+        An instance's transitions are its hash chain [initial, post_1, ..., post_k], or [].
+        """
         return {
             "delegates": {k: sorted(v) for k, v in self._delegates.items() if v},
             "instances": {
@@ -297,10 +298,7 @@ class Registry:
                 for h, r in self._models.items()
             },
             "transitions": {
-                h: [
-                    {"post_state": t.post_state, "pre_state": t.pre_state, "seq": t.seq}
-                    for t in records
-                ]
+                h: [records[0].pre_state, *(t.post_state for t in records)] if records else []
                 for h, records in self._transitions.items()
             },
         }
@@ -328,18 +326,19 @@ class Registry:
             restored_instances[h] = InstanceRecord(
                 h, _text(model), _text(owner), _descriptor(descriptor),
                 InstanceStatus(status), _text(latest), _count(count))
-        restored_transitions = {}
-        for h, records in _entries(transitions):
-            # the one part that grows with the chain, so checked in one pass
-            if not (isinstance(records, list) and all(
-                    type(r) is dict and r.keys() == _TRANSITION_KEYS
-                    and type(r["pre_state"]) is str and type(r["post_state"]) is str
-                    and type(r["seq"]) is int for r in records)):
-                raise ValueError(f"ill-typed transitions of {h}")
-            restored_transitions[h] = [
-                TransitionRecord(h, r["pre_state"], r["post_state"], r["seq"]) for r in records]
-        if restored_transitions.keys() != restored_instances.keys():
+        if not isinstance(transitions, dict) or transitions.keys() != restored_instances.keys():
             raise ValueError("transitions are not keyed by the registered instances")
+        restored_transitions = {}
+        for h, chain in transitions.items():
+            # the one part that grows with the chain, so checked in one pass
+            record = restored_instances[h]
+            count = record.transition_count
+            if not (isinstance(chain, list) and len(chain) == (count + 1 if count else 0)
+                    and all(type(s) is str for s in chain)
+                    and (not chain or chain[-1] == record.latest_state)):
+                raise ValueError(f"transitions of {h}: not a chain of {count} to its latest state")
+            restored_transitions[h] = [TransitionRecord(h, pre, post, seq)
+                                       for seq, (pre, post) in enumerate(zip(chain, chain[1:]), 1)]
         restored_delegates = {}
         for h, accounts in _entries(delegates):
             if not isinstance(accounts, list):

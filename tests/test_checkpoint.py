@@ -97,6 +97,11 @@ def body_of(path) -> dict:
     return json.loads(checkpoint_path(path).read_bytes())["body"]
 
 
+def chain_edit(edit):
+    """An edit of the one transition chain in a body, [initial, post_1, ..., post_k]."""
+    return lambda body: edit(next(iter(body["registry"]["transitions"].values())))
+
+
 class TestRestore:
     def test_fresh_ledger_writes_no_checkpoint(self, tmp_path):
         path = chain(tmp_path)
@@ -277,9 +282,14 @@ class TestFallback:
         (lambda b: b["registry"]["transitions"].clear(), "ill-typed registry snapshot"),
         (lambda b: next(iter(b["registry"]["instances"].values())).update(status="gone"),
          "ill-typed registry snapshot"),
+        (chain_edit(lambda c: c.__delitem__(slice(1, None))), "ill-typed registry snapshot"),
+        (chain_edit(lambda c: c.__setitem__(1, 1)), "ill-typed registry snapshot"),
+        (chain_edit(lambda c: c.__setitem__(-1, h("x"))), "ill-typed registry snapshot"),
+        (chain_edit(lambda c: c.pop(1)), "ill-typed registry snapshot"),
     ], ids=["height", "block-hash", "start", "end", "prefix", "past-eof", "string-height",
             "empty-line", "extra-key", "bool-nonce", "no-models", "no-transitions",
-            "status"])
+            "status", "chain-of-one", "chain-non-string", "chain-to-another-latest",
+            "chain-shorter-than-count"])
     def test_resealed_body_that_fails_a_check(self, tmp_path, capsys, edit, reason):
         path = chain(tmp_path)
         Ledger.open(path, Registry())
@@ -308,6 +318,25 @@ class TestFallback:
         edit(body)
         checkpoint_path(path).write_bytes(seal(body))
         self.check(path, tmp_path, capsys, "checkpoint of another format")
+
+    def test_format_1_falls_back_once_then_restores(self, tmp_path, capsys):
+        # format 1 held one {pre_state, post_state, seq} object per transition
+        path = chain(tmp_path)
+        Ledger.open(path, Registry())
+        body = body_of(path)
+        body["format"] = 1
+        body["registry"]["transitions"] = {
+            ih: [{"post_state": post, "pre_state": pre, "seq": seq}
+                 for seq, (pre, post) in enumerate(zip(c, c[1:]), 1)]
+            for ih, c in body["registry"]["transitions"].items()}
+        checkpoint_path(path).write_bytes(seal(body))
+        self.check(path, tmp_path, capsys, "checkpoint of another format")
+        assert body_of(path)["format"] == 2
+        registry = Registry()
+        ledger = Ledger.open(path, registry)
+        assert capsys.readouterr().err == "" and ledger._prefix is not None
+        assert (registry.snapshot_bytes(), ledger.events_since(ZERO_CURSOR)) == \
+            full_replay(path, tmp_path)[:2]
 
     def test_anchor_past_eof_after_tail_truncation(self, tmp_path, capsys):
         # append enough for a reopen to move the anchor, then cut the file back

@@ -392,6 +392,11 @@ class TestRestore:
         lambda s: s["transitions"].update(extra=[]),
         lambda s: s["transitions"][H_INSTANCE].append({"seq": 2}),
         lambda s: s["transitions"].update({H_INSTANCE: {}}),
+        lambda s: s["transitions"][H_INSTANCE].pop(),
+        lambda s: s["transitions"][H_INSTANCE].__setitem__(0, 5),
+        lambda s: s["transitions"][H_INSTANCE].__setitem__(-1, h("s9")),
+        lambda s: s["transitions"][H_INSTANCE].insert(1, h("s9")),
+        lambda s: s["transitions"][h("other")].append(h("o0")),
         lambda s: s["delegates"].update({H_MODEL: CARA}),
         lambda s: s["delegates"].update({H_MODEL: [5]}),
     ])

@@ -3,12 +3,14 @@
 These pins make a change to the surface a deliberate edit of this file.
 """
 
+import argparse
 import subprocess
 import sys
+import warnings
 
 import statetrail
 from statetrail import errors
-from statetrail.cli import cli
+from statetrail.cli import COMMANDS, GLOBAL_OPTIONS, _parser
 from statetrail.errors import EXIT_CODES, RegistrationFailed, TrailError, error_class
 
 
@@ -84,17 +86,47 @@ def test_star_import_binds_every_export():
 def test_cli_import_leaves_out_what_only_some_commands_run():
     # a fresh interpreter, since this one has imported every module already
     code = ("import sys, statetrail.cli; print(sorted({'statetrail.tracker', 'statetrail.demo',"
-            " 'dataclasses'} & set(sys.modules)))")
+            " 'dataclasses', 'click'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"
 
 
 def test_cli_global_options_and_commands():
-    assert [opt for param in cli.params for opt in param.opts] == [
-        "--dir", "--account", "--account-file", "--seed"]
-    assert sorted(cli.commands) == [
-        "account", "chain", "delegate", "demo", "instance", "model", "protocol", "track"]
+    assert [names for names, _ in GLOBAL_OPTIONS] == [
+        ("--dir",), ("--account",), ("--account-file",), ("--seed",)]
+    assert {" ".join(words): [names[0] for names, _ in arguments]
+            for words, _, arguments in COMMANDS} == {
+        "account new": ["--save"],
+        "model register": ["model_file", "--id", "--name"],
+        "delegate": ["subject_hash", "delegate_account"],
+        "instance create": ["model_hash", "--nonce", "--id", "--name"],
+        "instance step": ["instance_hash", "transition_id"],
+        "instance run": ["instance_hash", "--steps", "--seed"],
+        "instance terminate": ["instance_hash"],
+        "track": [],
+        "protocol export": ["instance_hash"],
+        "protocol verify": ["instance_hash"],
+        "chain verify": [],
+        "demo multiparty": ["--parties", "--steps", "--seed", "--workdir"],
+    }
+
+
+def test_cli_parser_builds_without_warnings():
+    # argparse deprecates a metavar on a flag from 3.12 and refuses it from 3.14,
+    # and every command builds the whole tree, so a warning here breaks them all
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsers = [_parser("statetrail")]
+    flags = []
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.nargs == 0:
+                flags.append((action.option_strings, action.metavar))
+    assert ["--save", "--no-save"] in [names for names, _ in flags]
+    assert [metavar for _, metavar in flags if metavar is not None] == []
 
 
 def test_error_names_map_back_to_their_classes():
