@@ -24,7 +24,7 @@ _ORIGINS = {
     "registry": ("Descriptor", "InstanceRecord", "ModelRecord", "Registry", "TransitionRecord"),
     "store": ("ContentStore", "DirectoryContentStore"),
     "tracker": ("InstanceProtocol", "ProtocolEntry", "Tracker", "export_protocol",
-                "import_protocol", "verify_entry"),
+                "verify_entry"),
 }
 _MODULE_OF = {name: module for module, names in _ORIGINS.items() for name in names}
 

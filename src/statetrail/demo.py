@@ -151,7 +151,7 @@ def multiparty(parties: int = 3, steps: int = 50, seed: int = 7, *,
         "entries": entries,
         "export_digest": export_digest,
         "instances": instances,
-        "ledger_blocks": len(ledger.blocks),
+        "ledger_blocks": ledger.height + 1,
         "model_hash": mh,
         "parties": parties,
         "steps": steps,

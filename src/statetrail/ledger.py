@@ -75,6 +75,7 @@ from .errors import (
 )
 from .hashing import (FAUCET_ACCOUNT, MAX_DEPTH, ZERO_HASH, canonical_bytes, depth, digest,
                       is_account_id, loads)
+from .store import open_regular
 
 Cursor = tuple[int, int, int]
 ZERO_CURSOR: Cursor = (0, 0, 0)
@@ -251,8 +252,6 @@ class Ledger:
                 os.makedirs(self._path.parent, exist_ok=True)
             except OSError as exc:
                 raise ChainCorrupt(f"no directory for the ledger file: {exc}") from None
-            if self._path.is_dir():
-                raise ChainCorrupt(f"the ledger file {self._path} is a directory")
             if self._path.exists():
                 self._replay_file()
         if not self._next_height:  # new, or a file emptied before genesis was written
@@ -388,7 +387,7 @@ class Ledger:
     def _replay_file(self) -> None:
         """Re-execute the file after the checkpoint's anchor, or all of it."""
         assert self._path is not None
-        with self._path.open("rb") as fh:
+        with _open_ledger(self._path) as fh:
             sha = self._restore_checkpoint(fh)
             # the height a restore re-executes to before the checkpoint is rewritten (0: at once)
             due = 0 if sha is None else self._next_height + _CHECKPOINT_TAIL
@@ -422,7 +421,8 @@ class Ledger:
         if self._checkpoint is None:
             return None
         try:
-            data = self._checkpoint.read_bytes()
+            with open_regular(self._checkpoint) as checkpoint:
+                data = checkpoint.read()
         except FileNotFoundError:
             return None
         except OSError as exc:
@@ -517,7 +517,7 @@ class Ledger:
             sha, parsed, strings = hashlib.sha256(), [], {}  # equal strings, shared by this load
             decode = _block_from_line if part == "blocks" else (
                 lambda raw, height: _events_from_line(raw, height, strings))
-            with self._path.open("rb") as fh:
+            with _open_ledger(self._path) as fh:
                 for _, _, line_end, _, value in _walk(fh, decode, sha=sha):
                     parsed.append(value)
                     if line_end >= end:
@@ -541,15 +541,7 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
     opened raises ChainCorrupt.
     """
     prev, checked = ZERO_HASH, 0
-    try:
-        fh = Path(path).open("rb")
-    except FileNotFoundError:
-        raise ChainCorrupt(f"no ledger file at {path}") from None
-    except IsADirectoryError:
-        raise ChainCorrupt(f"the ledger file {path} is a directory") from None
-    except OSError as exc:
-        raise ChainCorrupt(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
+    with _open_ledger(path) as fh:
         try:
             for height, _, _, raw, stored in _walk(fh, _decoded):
                 try:
@@ -570,6 +562,18 @@ def verify_chain_file(path: str | Path) -> VerificationReport:
         except ChainCorrupt:  # not JSON, not UTF-8, or nested too deep
             return VerificationReport(False, checked, checked, "unparseable block")
     return VerificationReport(True, checked)
+
+
+def _open_ledger(path: str | Path):
+    """The ledger file, opened for reading; ChainCorrupt if it cannot be read."""
+    try:
+        return open_regular(path)
+    except FileNotFoundError:
+        raise ChainCorrupt(f"no ledger file at {path}") from None
+    except IsADirectoryError:
+        raise ChainCorrupt(f"the ledger file {path} is a directory") from None
+    except OSError as exc:
+        raise ChainCorrupt(f"cannot read {path}: {exc.strerror}") from None
 
 
 # what decoding a malformed line raises; RecursionError only from the unbounded events-only one

@@ -30,7 +30,7 @@ from .errors import (
     UnknownModel,
     UnknownSubject,
 )
-from .hashing import canonical_bytes, is_account_id, is_content_hash
+from .hashing import is_account_id, is_content_hash
 
 # call arguments that must hold a content hash; `delegate` holds an account id
 _HASH_ARGS = frozenset({"model_hash", "instance_hash", "initial_state_hash", "pre_state",
@@ -248,11 +248,6 @@ class Registry:
     def has_model(self, model_hash: str) -> bool:
         return model_hash in self._models
 
-    def get_model(self, model_hash: str) -> ModelRecord:
-        if model_hash not in self._models:
-            raise UnknownSubject(f"model {model_hash} not registered")
-        return self._models[model_hash]
-
     def get_instance(self, instance_hash: str) -> InstanceRecord:
         if instance_hash not in self._instances:
             raise UnknownSubject(f"instance {instance_hash} not registered")
@@ -269,9 +264,6 @@ class Registry:
         if subject_hash in self._instances:
             return self._instances[subject_hash].owner
         raise UnknownSubject(f"{subject_hash} is neither a model nor an instance")
-
-    def instance_hashes(self) -> list[str]:
-        return sorted(self._instances)
 
     # -------------------------------------------------------------- snapshots
 
@@ -302,9 +294,6 @@ class Registry:
                 for h, records in self._transitions.items()
             },
         }
-
-    def snapshot_bytes(self) -> bytes:
-        return canonical_bytes(self.snapshot())
 
     def restore(self, snapshot: dict) -> None:
         """Replace the whole state with the one a `snapshot()` describes.

@@ -10,12 +10,25 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 import threading
 
 from .errors import CorruptContent, MissingContent
 from .hashing import digest, is_content_hash
 
 STORE_DIR = "store"  # its name in a working directory
+
+
+class NotRegularFile(OSError): ...  # a FIFO or device where a regular file was expected
+
+
+def open_regular(path: str | os.PathLike, buffering: int = -1):
+    """Open a regular file for reading without blocking; a FIFO or device raises NotRegularFile."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    if stat.S_ISREG(mode := os.fstat(fd).st_mode):
+        return open(fd, "rb", buffering)
+    os.close(fd)
+    raise (IsADirectoryError if stat.S_ISDIR(mode) else NotRegularFile)(0, "not a regular file")
 
 
 class ContentStore:
@@ -79,9 +92,9 @@ class DirectoryContentStore:
 
     def get(self, key: str) -> bytes:
         try:
-            with open(self._path(key), "rb", buffering=0) as fh:
+            with open_regular(self._path(key), buffering=0) as fh:
                 content = fh.read()
-        except (FileNotFoundError, IsADirectoryError):
+        except (FileNotFoundError, IsADirectoryError, NotRegularFile):
             raise MissingContent(f"no content stored for {key}") from None
         if digest(content) != key:
             raise CorruptContent(f"stored content does not hash to {key}")

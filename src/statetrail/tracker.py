@@ -32,7 +32,7 @@ from .errors import (
     OutOfOrderEvent,
     TrailError,
 )
-from .hashing import canonical_bytes, loads
+from .hashing import canonical_bytes
 from .ledger import Cursor, EventRecord, Ledger, ZERO_CURSOR
 from .model import StateMachineModel, TransitionDef, parse_model_bytes
 from .registry import (
@@ -59,13 +59,6 @@ _ENTRY_FIELDS = {
 
 EXPORT_FIELDS = ("kind", "instance_hash", "model_hash", "seq", "pre_state", "post_state",
                  "height", "tx_index", "emitter", "timestamp", "status")
-
-_KINDS = (KIND_CREATION, KIND_TRANSITION, KIND_TERMINATION)
-# export fields that hold either null or a value of exactly this type
-_NULLABLE_FIELD_TYPES = {
-    "instance_hash": str, "model_hash": str, "pre_state": str, "post_state": str,
-    "emitter": str, "height": int, "tx_index": int, "timestamp": int,
-}
 
 
 class ProtocolEntry:
@@ -102,73 +95,26 @@ class ProtocolEntry:
 
 
 class InstanceProtocol:
-    __slots__ = ("instance_hash", "model_hash", "entries", "_dense")
+    __slots__ = ("instance_hash", "model_hash", "entries")
 
-    def __init__(self, instance_hash: str, model_hash: str,
-                 entries: list[ProtocolEntry] | None = None):
+    def __init__(self, instance_hash: str, model_hash: str):
         self.instance_hash = instance_hash
         self.model_hash = model_hash
-        self.entries = [] if entries is None else entries
-        # number of leading entries whose seq equals their index
-        self._dense = 0
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not InstanceProtocol:
-            return NotImplemented
-        return (self.instance_hash, self.model_hash, self.entries) == (
-            other.instance_hash, other.model_hash, other.entries)
+        self.entries: list[ProtocolEntry] = []
 
     @property
     def next_seq(self) -> int:
         return self.entries[-1].seq + 1 if self.entries else 0
 
-    @property
-    def terminated(self) -> bool:
-        return bool(self.entries) and self.entries[-1].kind == KIND_TERMINATION
-
     def entry_at(self, seq: int) -> ProtocolEntry | None:
-        """The first entry carrying `seq`, or None.
-
-        A tracker appends seqs 0, 1, 2, ... so the entry is found by index.
-        Imported protocols may carry gaps or repeats; past the dense prefix
-        the lookup falls back to a scan.
-        """
+        """The entry carrying `seq`, or None; a tracker appends seqs 0, 1, 2, ... in order."""
         entries = self.entries
-        while self._dense < len(entries) and entries[self._dense].seq == self._dense:
-            self._dense += 1
-        if 0 <= seq < min(self._dense, len(entries)) and entries[seq].seq == seq:
-            return entries[seq]
-        for entry in entries:
-            if entry.seq == seq:
-                return entry
-        return None
+        return entries[seq] if 0 <= seq < len(entries) and entries[seq].seq == seq else None
 
 
 def export_protocol(protocol: InstanceProtocol) -> bytes:
     """Deterministic JSON Lines export, one entry per line, keys sorted."""
     return b"".join(canonical_bytes(e.to_dict()) + b"\n" for e in protocol.entries)
-
-
-def import_protocol(data: bytes) -> InstanceProtocol:
-    """Read an export back; anything that is not one raises CorruptContent."""
-    try:
-        entries = [ProtocolEntry(**{name: raw[name] for name in EXPORT_FIELDS})
-                   for raw in map(loads, data.splitlines())]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptContent(f"not a protocol export: {exc!r}") from exc
-    if not entries:
-        raise CorruptContent("cannot import an empty protocol")
-    for entry in entries:
-        if (entry.kind not in _KINDS or type(entry.seq) is not int
-                or type(entry.status) is not str
-                or any(getattr(entry, name) is not None and type(getattr(entry, name)) is not t
-                       for name, t in _NULLABLE_FIELD_TYPES.items())):
-            raise CorruptContent(f"ill-typed protocol entry: {entry!r}")
-    return InstanceProtocol(
-        instance_hash=entries[0].instance_hash,
-        model_hash=entries[0].model_hash,
-        entries=entries,
-    )
 
 
 class Tracker:

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from statetrail.cli import cli
 from statetrail.engine import Engine, InstanceState, enabled_transitions, state_content, state_hash
 from statetrail.errors import TrailError
-from statetrail.hashing import content_hash
+from statetrail.hashing import canonical_bytes, content_hash
 from statetrail.ledger import Ledger, ZERO_CURSOR
 from statetrail.model import canonical_serialize, model_hash, validate_model
 from statetrail.registry import (
@@ -142,7 +142,7 @@ def _randomized_bijection_run(seed: int) -> tuple[int, int]:
         if tx.call.get("op") == "register_transition" and tx.status == "ok")
     events = sum(1 for e in world.ledger.events_since(ZERO_CURSOR)
                  if e.kind == "TransitionEvent")
-    for ih in world.registry.instance_hashes():
+    for ih in sorted(world.registry.snapshot()["instances"]):
         seqs = [t.seq for t in world.registry.get_transitions(ih)]
         assert seqs == list(range(1, len(seqs) + 1)), f"seq gap in run {seed}"
     return ok_calls, events
@@ -367,7 +367,7 @@ def test_criterion_7_replay_determinism(tmp_path):
     first_ledger = Ledger.open(ledger_path, first_registry)
     first_tracker = Tracker(first_ledger, first_registry, store)
     first_tracker.catch_up()
-    first_snapshot = first_registry.snapshot_bytes()
+    first_snapshot = canonical_bytes(first_registry.snapshot())
     first_hashes = [b.block_hash for b in first_ledger.blocks]
     first_exports = {ih: first_tracker.export(ih) for ih in instances}
 
@@ -376,7 +376,7 @@ def test_criterion_7_replay_determinism(tmp_path):
     second_tracker = Tracker(second_ledger, second_registry, store)
     second_tracker.catch_up()
 
-    assert second_registry.snapshot_bytes() == first_snapshot
+    assert canonical_bytes(second_registry.snapshot()) == first_snapshot
     assert [b.block_hash for b in second_ledger.blocks] == first_hashes
     for ih in instances:
         assert second_tracker.export(ih) == first_exports[ih]

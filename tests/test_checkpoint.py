@@ -63,7 +63,7 @@ def chain(tmp_path, calls=6):
 
 
 def state(ledger, registry):
-    return (registry.snapshot_bytes(), ledger.events_since(ZERO_CURSOR),
+    return (canonical_bytes(registry.snapshot()), ledger.events_since(ZERO_CURSOR),
             [b.block_hash for b in ledger.blocks], ledger.known_accounts(),
             [ledger.next_nonce(a) for a in (ALICE, BOB, CARA, "0x" + "0" * 40)])
 
@@ -335,7 +335,7 @@ class TestFallback:
         registry = Registry()
         ledger = Ledger.open(path, registry)
         assert capsys.readouterr().err == "" and ledger._prefix is not None
-        assert (registry.snapshot_bytes(), ledger.events_since(ZERO_CURSOR)) == \
+        assert (canonical_bytes(registry.snapshot()), ledger.events_since(ZERO_CURSOR)) == \
             full_replay(path, tmp_path)[:2]
 
     def test_anchor_past_eof_after_tail_truncation(self, tmp_path, capsys):

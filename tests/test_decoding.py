@@ -25,7 +25,6 @@ from statetrail.hashing import MAX_DEPTH, canonical_bytes, digest
 from statetrail.ledger import Ledger, checkpoint_path, verify_chain_file
 from statetrail.model import canonical_serialize, model_hash, parse_model_bytes
 from statetrail.registry import Descriptor, Registry, call_register_model
-from statetrail.tracker import ProtocolEntry, import_protocol
 
 from conftest import ALICE, engine_for, make_world, minimal_model, on_a_fresh_stack
 
@@ -115,10 +114,6 @@ READERS = {
                   parse_model_bytes, "nested deeper than"),
     "creation-record": (MAX_DEPTH, document(creation_record(H, ALICE, Descriptor("d", "n"), 1)),
                         lambda data: sorted(parse_creation_record(data)), "nested deeper than"),
-    "export-line": (MAX_DEPTH, document(canonical_bytes(ProtocolEntry("creation", H, H, 0)
-                                                        .to_dict())),
-                    lambda data: [e.to_dict() for e in import_protocol(data).entries],
-                    "nested deeper than"),
     "account-file": (MAX_DEPTH, account_file, _sender, "holds no account id"),
     "checkpoint-body": (LINE_BOUND, deep_checkpoint, opened, "checkpoint body is not JSON"),
 }

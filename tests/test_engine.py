@@ -153,7 +153,7 @@ class TestInstantiate:
         first = engine.instantiate(model, descriptor, 1)
         second = engine.instantiate(model, descriptor, 2)
         assert first.instance_hash != second.instance_hash
-        assert len(world.registry.instance_hashes()) == 2
+        assert len(world.registry.snapshot()["instances"]) == 2
 
     def test_unregistered_model(self, world, descriptor):
         engine = engine_for(world, ALICE)

@@ -15,10 +15,18 @@ of the old hash in the ledger rewritten and resealed, so that replay
 accepts the file and the readers meet the bytes. The same bytes are
 written to the account file. `instance step`, which writes, runs on a
 fresh copy of the workdir each time.
+
+Last, a FIFO stands in for a stored state, the checkpoint or the ledger
+file. Opening or reading one would wait for a writer forever, so each
+command runs in a fresh interpreter under a timeout, and must end in its
+status or error name.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -247,3 +255,39 @@ def test_account_file_replaced(base, variant, which):
     workdir, instances = base
     with tempfile.TemporaryDirectory() as tmp:
         run_step(workdir, tmp, instances[which], variants(ACCOUNT_FILE.rstrip())[variant])
+
+
+FIFO_READS = [["track"], ["protocol", "verify"], ["instance", "step"], ["chain", "verify"]]
+# where the FIFO stands, and what each of FIFO_READS ends in, in turn
+FIFO_OUTCOMES = {
+    "store": ["ok", "VerificationFailed", "MissingContent", "ok"],
+    "checkpoint": ["ok", "ok", "InstanceTerminated", "ok"],
+    "ledger": ["ChainCorrupt"] * 4,
+}
+
+
+@pytest.mark.parametrize("where", FIFO_OUTCOMES)
+def test_fifo_in_the_workdir_is_refused_not_waited_on(base, tmp_path, where):
+    workdir, instances = base
+    wd = copy_of(workdir, tmp_path)
+    instance = instances[0]
+    path = {"store": wd / "store" / latest_state(wd, instance),
+            "checkpoint": checkpoint_path(wd / LEDGER_FILE), "ledger": wd / LEDGER_FILE}[where]
+    arguments = {"protocol verify": [instance], "instance step": [instance, "t_more"]}
+    for command, outcome in zip(FIFO_READS, FIFO_OUTCOMES[where]):
+        path.unlink()  # a full replay rewrites the checkpoint
+        os.mkfifo(path)
+        result = subprocess.run(
+            [sys.executable, "-m", "statetrail.cli", "--dir", str(wd), "--account", OWNER,
+             *command, *arguments.get(" ".join(command), [])],
+            capture_output=True, timeout=60)
+        assert b"Traceback" not in result.stderr, result.stderr
+        assert result.returncode == EXIT_CODES.get(outcome, 0), (command, result.stdout)
+        lines = [json.loads(line) for line in result.stdout.splitlines()]
+        if outcome != "ok":
+            assert lines[-1]["error"] == outcome
+        if outcome == "VerificationFailed":
+            assert "unverified" in {line.get("status") for line in lines}
+        if where == "checkpoint" and command != ["chain", "verify"]:  # which deletes it first
+            reason = json.loads(result.stderr)["reason"]
+            assert reason == "unreadable checkpoint: not a regular file"

@@ -106,7 +106,8 @@ def reopen_in_subprocess(path) -> bytes:
     """The registry snapshot a fresh interpreter replays from the file at `path`."""
     code = ("import sys; from statetrail.ledger import Ledger; "
             "from statetrail.registry import Registry; r = Registry(); "
-            "Ledger.open(sys.argv[1], r); sys.stdout.buffer.write(r.snapshot_bytes())")
+            "from statetrail.hashing import canonical_bytes; Ledger.open(sys.argv[1], r); "
+            "sys.stdout.buffer.write(canonical_bytes(r.snapshot()))")
     return subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
                           check=True, timeout=60).stdout
 
@@ -221,11 +222,11 @@ class TestSubmission:
             assert (ledger.height, ledger.next_nonce(ALICE), path.read_bytes()) == before
             return
         assert depth <= MAX_DEPTH and ledger.height == before[0] + 1
-        assert reopen_in_subprocess(path) == registry.snapshot_bytes()
+        assert reopen_in_subprocess(path) == canonical_bytes(registry.snapshot())
         checkpoint_path(path).unlink()  # the reopen wrote it; replay the whole file again
         replayed = Registry()
         at_depth(60, lambda: Ledger.open(path, replayed))
-        assert replayed.snapshot_bytes() == registry.snapshot_bytes()
+        assert canonical_bytes(replayed.snapshot()) == canonical_bytes(registry.snapshot())
 
     # a submission that fails two checks: the call's is named first
     @pytest.mark.parametrize("sender, call, nonce", [
@@ -802,7 +803,7 @@ def test_whatever_submit_accepts_replay_accepts(submissions):
         def state(sender):
             senders = [s for s in (ALICE, BOB, CARA, FAUCET_ACCOUNT, sender) if isinstance(s, str)]
             return (ledger.height, path.read_bytes(), [ledger.next_nonce(s) for s in senders],
-                    registry.snapshot_bytes())
+                    canonical_bytes(registry.snapshot()))
 
         for sender, call, nonce in submissions:
             if type(nonce) is int:
@@ -818,5 +819,5 @@ def test_whatever_submit_accepts_replay_accepts(submissions):
             assert data.startswith(before[1]) and data.count(b"\n") == before[1].count(b"\n") + 1
         replayed = Registry()
         reopened = Ledger.open(path, replayed)
-        assert replayed.snapshot_bytes() == registry.snapshot_bytes()
+        assert canonical_bytes(replayed.snapshot()) == canonical_bytes(registry.snapshot())
         assert reopened.events_since(ZERO_CURSOR) == ledger.events_since(ZERO_CURSOR)

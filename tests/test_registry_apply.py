@@ -9,7 +9,7 @@ the owner, a delegate and a stranger on a fresh registry.
 import pytest
 
 from statetrail.errors import RegistryError
-from statetrail.hashing import content_hash
+from statetrail.hashing import canonical_bytes, content_hash
 from statetrail.registry import (
     Descriptor,
     Registry,
@@ -162,11 +162,11 @@ def outcome(sender: str, call) -> list | str:
     A failed call must leave the registry as it was.
     """
     registry = setup_registry()
-    before = registry.snapshot_bytes()
+    before = canonical_bytes(registry.snapshot())
     try:
         return registry.apply(sender, call, 7)
     except RegistryError as exc:
-        assert registry.snapshot_bytes() == before
+        assert canonical_bytes(registry.snapshot()) == before
         return exc.name
 
 

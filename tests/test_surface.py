@@ -47,7 +47,6 @@ def test_package_exports():
         "enabled_transitions",
         "export_protocol",
         "fire",
-        "import_protocol",
         "load_model_file",
         "model_hash",
         "multiparty",
@@ -66,14 +65,11 @@ def test_registry_changes_only_through_apply():
     assert [name for name in dir(statetrail.Registry) if not name.startswith("_")] == [
         "apply",
         "get_instance",
-        "get_model",
         "get_owner",
         "get_transitions",
         "has_model",
-        "instance_hashes",
         "restore",
         "snapshot",
-        "snapshot_bytes",
     ]
 
 

@@ -1,5 +1,7 @@
 """Tracking: protocol reconstruction, verification, export, convergence."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,14 +21,10 @@ from statetrail.registry import (
 )
 from statetrail.store import ContentStore, DirectoryContentStore
 from statetrail.tracker import (
-    EXPORT_FIELDS,
     STATUS_INCONSISTENT,
     STATUS_UNVERIFIED,
     STATUS_VERIFIED,
-    InstanceProtocol,
     Tracker,
-    export_protocol,
-    import_protocol,
     verify_entry,
 )
 
@@ -329,14 +327,6 @@ class CountingStore:
         return self.store.get(key)
 
 
-def linear_entry_at(protocol, seq):
-    """Reference lookup: the first entry carrying `seq`, by a full scan."""
-    for entry in protocol.entries:
-        if entry.seq == seq:
-            return entry
-    return None
-
-
 LONG_STEPS = ("ab", "bc", "ca") * 17
 
 
@@ -417,42 +407,42 @@ class TestLinearVerification:
         statuses = tracker.verify_protocol(state.instance_hash)
         assert STATUS_INCONSISTENT in statuses and STATUS_UNVERIFIED not in statuses
 
-    @pytest.mark.parametrize("seqs", [
-        [0, 1, 2, 3, 4, 5, 6],
-        [0, 1, 3, 4, 5, 6],
-        [0, 1, 2, 4, 5, 6, 7],
-        [0, 1, 1, 2, 3, 4, 5],
-        [0, 2, 1, 3, 4, 5, 6],
-        [1, 1, 2, 3, 4, 5, 6],
-        [3, 0, 1, 2, 3, 4, 5],
+    @pytest.mark.parametrize("seqs, expected", [
+        ([0, 1, 2, 3, 4, 5, 6], "vvvvvvv"),
+        ([0, 1, 3, 4, 5, 6], "vvIIII"),
+        ([0, 1, 2, 4, 5, 6, 7], "vvvIIII"),
+        ([0, 1, 1, 2, 3, 4, 5], "vvIIIII"),
+        ([0, 2, 1, 3, 4, 5, 6], "vIIIvvv"),
+        ([1, 1, 2, 3, 4, 5, 6], "vIvvvvv"),
+        ([3, 0, 1, 2, 3, 4, 5], "vIIIIII"),
     ])
-    def test_imported_seqs_match_linear_lookup(self, monkeypatch, seqs):
+    def test_rewritten_seqs_by_index(self, seqs, expected):
         world, _, _, state, tracker = tracked_world(steps=("ab", "bc", "ca", "ab", "bc"))
-        data = tracker.export(state.instance_hash)
-
-        def statuses():
-            protocol = import_protocol(data)
-            if len(seqs) < len(protocol.entries):
-                del protocol.entries[2]
-            for entry, seq in zip(protocol.entries, seqs):
-                entry.seq = seq
-            return [verify_entry(protocol, e, world.store) for e in protocol.entries]
-
-        indexed = statuses()
-        monkeypatch.setattr(InstanceProtocol, "entry_at", linear_entry_at)
-        assert indexed == statuses()
-        if seqs == list(range(len(seqs))):
-            assert set(indexed) == {STATUS_VERIFIED}
+        protocol = copy.deepcopy(tracker.protocols[state.instance_hash])
+        if len(seqs) < len(protocol.entries):
+            del protocol.entries[2]
+        for entry, seq in zip(protocol.entries, seqs):
+            entry.seq = seq
+        letters = {STATUS_VERIFIED: "v", STATUS_INCONSISTENT: "I", STATUS_UNVERIFIED: "u"}
+        assert "".join(letters[verify_entry(protocol, e, world.store)]
+                       for e in protocol.entries) == expected
 
 
-def export_line(**fields) -> bytes:
-    """One well-typed transition entry as an export line, with `fields` changed."""
-    entry = {
-        "kind": "transition", "instance_hash": "0x" + "1" * 64, "model_hash": "0x" + "2" * 64,
-        "seq": 1, "pre_state": "0x" + "3" * 64, "post_state": "0x" + "4" * 64, "height": 5,
-        "tx_index": 0, "emitter": ALICE, "timestamp": 5, "status": "unverified",
-    }
-    return canonical_bytes({**entry, **fields}) + b"\n"
+class TestEntryAt:
+    @pytest.mark.parametrize("seq, index", [(-1, None), (0, 0), (6, 6), (7, None)],
+                             ids=["minus-one", "zero", "last", "past-the-end"])
+    def test_lookup_by_index(self, seq, index):
+        _, _, _, state, tracker = tracked_world(steps=("ab", "bc", "ca", "ab", "bc"))
+        protocol = tracker.protocols[state.instance_hash]
+        assert len(protocol.entries) == 7
+        assert protocol.entry_at(seq) is (None if index is None else protocol.entries[index])
+
+    def test_rewritten_seq_is_not_found(self):
+        _, _, _, state, tracker = tracked_world(steps=("ab", "bc", "ca", "ab", "bc"))
+        protocol = copy.deepcopy(tracker.protocols[state.instance_hash])
+        protocol.entries[3].seq = 9
+        assert protocol.entry_at(3) is None and protocol.entry_at(9) is None
+        assert protocol.entry_at(4) is protocol.entries[4]
 
 
 class TestExport:
@@ -465,57 +455,6 @@ class TestExport:
         _, _, _, state, tracker = tracked_world(steps=("ab", "bc", "ca") * 4)
         data = tracker.export(state.instance_hash)
         assert data.count(b"\n") == 12 + 2
-
-    def test_round_trip_is_byte_identical(self):
-        _, _, _, state, tracker = tracked_world()
-        tracker.verify_protocol(state.instance_hash)
-        data = tracker.export(state.instance_hash)
-        imported = import_protocol(data)
-        assert imported == tracker.protocols[state.instance_hash]
-        assert export_protocol(imported) == data
-
-    @pytest.mark.parametrize("data", [
-        b"",
-        b"\n",
-        b"not json",
-        b"\xff\xfe",
-        b"{}",
-        b"[]",
-        b"5",
-        b'{"kind": "creation"}',
-        canonical_bytes(dict.fromkeys(EXPORT_FIELDS)) + b"\nnot json",
-        export_line(seq="1"),
-        export_line(seq=True),
-        export_line(seq=1.0),
-        export_line(seq=None),
-        export_line(kind="genesis"),
-        export_line(kind=None),
-        export_line(instance_hash=5),
-        export_line(model_hash=["0x" + "2" * 64]),
-        export_line(pre_state=5),
-        export_line(post_state={}),
-        export_line(emitter=1),
-        export_line(height="5"),
-        export_line(tx_index=False),
-        export_line(timestamp=5.0),
-        export_line(status=None),
-        export_line() + export_line(seq=[2]),
-        b"[" * 100000,
-    ], ids=["empty", "blank-line", "not-json", "not-utf8", "no-fields", "list",
-            "number", "missing-fields", "bad-second-line", "string-seq", "bool-seq",
-            "float-seq", "null-seq", "unknown-kind", "null-kind", "number-instance-hash",
-            "list-model-hash", "number-pre-state", "object-post-state", "number-emitter",
-            "string-height", "bool-tx-index", "float-timestamp", "null-status",
-            "bad-second-entry", "nested-too-deep"])
-    def test_import_failure_is_corrupt_content(self, data):
-        with pytest.raises(CorruptContent):
-            import_protocol(data)
-
-    def test_import_accepts_well_typed_fields_and_nulls(self):
-        nulls = dict.fromkeys(["instance_hash", "model_hash", "pre_state", "post_state",
-                               "height", "tx_index", "emitter", "timestamp"])
-        protocol = import_protocol(export_line() + export_line(seq=2, **nulls))
-        assert [e.seq for e in protocol.entries] == [1, 2]
 
     def test_export_fields_are_exactly_the_contract(self):
         import json
@@ -550,7 +489,7 @@ class TestConvergence:
         tracker.catch_up()
         chain_records = {
             (t.instance_hash, t.seq)
-            for h in world.registry.instance_hashes()
+            for h in world.registry.snapshot()["instances"]
             for t in world.registry.get_transitions(h)
         }
         protocol_records = [
@@ -586,7 +525,7 @@ class TestLateTrackers:
                 call = call_register_instance(instance, model, Descriptor("i", "i"), h(n))
             elif op == "step":
                 pre = (world.registry.get_instance(instance).latest_state
-                       if instance in world.registry.instance_hashes() else h("none"))
+                       if instance in world.registry.snapshot()["instances"] else h("none"))
                 call = call_register_transition(instance, pre, h(n))
             else:
                 call = call_terminate_instance(instance)
